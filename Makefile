@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fuzz bench bench-smoke bench-baseline bench-guard bench-compare serve-smoke staticcheck ci
+.PHONY: build test vet race race-smoke fuzz bench bench-smoke bench-baseline bench-guard bench-compare serve-smoke staticcheck ci
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,15 @@ staticcheck:
 # (explicit Parallelism > 1 is not capped by GOMAXPROCS).
 race:
 	$(GO) test -race ./...
+
+# Focused race re-runs: the pooled-lifecycle determinism contract, and
+# the CPU system's golden reports and plan manifests at Parallelism 1
+# (LLC stage inline) against Parallelism 4 (LLC stage on its own
+# goroutine). Go splits -run patterns at unbracketed slashes, hence the
+# group around the two test names.
+race-smoke:
+	$(GO) test -race -count=2 -run TestConcurrentRunDeterminism ./internal/simulate/
+	$(GO) test -race -run '(TestGoldenDeterminism|TestPlanManifestDeterminism)/CPU' ./internal/simulate/
 
 # Short fuzzing sweep over the multiset-digest and operator round-trip
 # properties plus the simulate.Run no-panic boundary (the seed corpora
@@ -129,5 +138,6 @@ bench-compare:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
-# ci mirrors .github/workflows/ci.yml: tier-1 build+vet+test, then the race pass.
-ci: test vet race
+# ci mirrors .github/workflows/ci.yml: tier-1 build+vet+test, then the
+# race pass and the focused race smoke.
+ci: test vet race race-smoke

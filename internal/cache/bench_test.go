@@ -19,3 +19,16 @@ func BenchmarkAccessRandomFarField(b *testing.B) {
 		c.Access((addr>>20)&0x3ffffff8, i&1 == 0)
 	}
 }
+
+// BenchmarkLLCAccessRandom drives the 4 MB 16-way LLC with a far-field
+// random stream: every access misses into a full set, so the cost is the
+// tag scan plus the LRU victim scan.
+func BenchmarkLLCAccessRandom(b *testing.B) {
+	c := New(LLC4M())
+	addr := int64(12345)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		addr = addr*6364136223846793005 + 1
+		c.Access((addr>>20)&0x3ffffff8, i&1 == 0)
+	}
+}

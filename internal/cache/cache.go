@@ -52,29 +52,39 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Accesses)
 }
 
-type line struct {
-	tag int64
-	// gen stamps the Cache generation the line was filled in; a line is
-	// live only when valid and stamped with the current generation, so
-	// Reset and Flush can invalidate the whole cache by bumping the
-	// generation instead of clearing every line (pooled engines reset
-	// between every run — an O(size) wipe there is the difference
-	// between a cheap lifecycle and re-zeroing megabytes per query).
-	gen        uint64
-	valid      bool
-	dirty      bool
-	prefetched bool
-	lastUse    uint64
+// setState is one set's fill level. Lines are only ever invalidated
+// all at once (Reset, Flush), and a fill always takes the first invalid
+// way, so the valid lines of a set are exactly ways [0, n). gen stamps
+// the Cache generation n was last written in: a set whose stamp is stale
+// is empty, so Reset and Flush invalidate the whole cache by bumping the
+// generation instead of clearing every line (pooled engines reset
+// between every run — an O(size) wipe there is the difference between a
+// cheap lifecycle and re-zeroing megabytes per query).
+type setState struct {
+	gen uint64
+	n   int
 }
 
-// Cache is one set-associative cache level.
+// Line flag bits.
+const (
+	flagDirty uint8 = 1 << iota
+	flagPrefetched
+)
+
+// Cache is one set-associative cache level. Lines are stored as
+// structure-of-arrays, indexed set*Ways+way: a lookup scans one dense
+// run of tags, and LRU victim selection one dense run of lastUse stamps.
 type Cache struct {
 	cfg   Config
-	sets  [][]line
 	nsets int
 	gen   uint64
 	tick  uint64
 	stats Stats
+
+	sets    []setState
+	tags    []int64
+	lastUse []uint64
+	flags   []uint8
 
 	// Shift/mask forms of the block and set arithmetic, valid when both
 	// BlockBytes and the set count are powers of two (every modeled
@@ -85,12 +95,10 @@ type Cache struct {
 	setShift   uint
 	setMask    int64 // nsets-1
 
-	// Reusable buffers backing the slices returned in Result, so the
-	// steady-state access path performs zero heap allocations. They are
-	// overwritten by the next Access/AccessRun call.
-	scratch  RunResult
-	fetchBuf []int64
-	wbBuf    []int64
+	// scratch backs the traffic list Access returns, so the steady-state
+	// access path performs zero heap allocations. It is overwritten by
+	// the next Access call.
+	scratch RunResult
 }
 
 // New builds a cache from its configuration.
@@ -102,12 +110,14 @@ func New(cfg Config) *Cache {
 	if nsets == 0 {
 		panic("cache: fewer than one set")
 	}
-	sets := make([][]line, nsets)
-	backing := make([]line, nsets*cfg.Ways)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
+	lines := nsets * cfg.Ways
+	c := &Cache{
+		cfg: cfg, nsets: nsets, gen: 1,
+		sets:    make([]setState, nsets),
+		tags:    make([]int64, lines),
+		lastUse: make([]uint64, lines),
+		flags:   make([]uint8, lines),
 	}
-	c := &Cache{cfg: cfg, sets: sets, nsets: nsets}
 	if isPow2(cfg.BlockBytes) && isPow2(nsets) {
 		c.pow2 = true
 		c.blockShift = log2(cfg.BlockBytes)
@@ -132,6 +142,9 @@ func log2(n int) uint {
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
+// BlockBytes returns the block size (without copying the whole Config).
+func (c *Cache) BlockBytes() int { return c.cfg.BlockBytes }
+
 // Stats returns a snapshot of accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 
@@ -154,16 +167,23 @@ func (c *Cache) Reset() {
 func (c *Cache) Flush() []int64 {
 	var wbs []int64
 	for si := range c.sets {
-		for wi := range c.sets[si] {
-			l := &c.sets[si][wi]
-			if l.valid && l.gen == c.gen && l.dirty {
-				wbs = append(wbs, c.blockAddr(si, l.tag))
+		for i := si * c.cfg.Ways; i < si*c.cfg.Ways+c.valid(si); i++ {
+			if c.flags[i]&flagDirty != 0 {
+				wbs = append(wbs, c.blockAddr(si, c.tags[i]))
 				c.stats.DirtyEvictions++
 			}
 		}
 	}
 	c.gen++
 	return wbs
+}
+
+// valid returns how many ways of set hold live lines (a prefix).
+func (c *Cache) valid(set int) int {
+	if st := c.sets[set]; st.gen == c.gen {
+		return st.n
+	}
+	return 0
 }
 
 func (c *Cache) index(addr int64) (set int, tag int64) {
@@ -182,26 +202,15 @@ func (c *Cache) blockAddr(set int, tag int64) int64 {
 	return (tag*int64(c.nsets) + int64(set)) * int64(c.cfg.BlockBytes)
 }
 
-// blockBase rounds addr down to its block base address.
-func (c *Cache) blockBase(addr int64) int64 {
+// BlockBase rounds addr down to its block base address.
+func (c *Cache) BlockBase(addr int64) int64 {
 	if c.pow2 {
 		return addr &^ c.blockMask
 	}
 	return addr / int64(c.cfg.BlockBytes) * int64(c.cfg.BlockBytes)
 }
 
-// Result reports what one access did and what traffic it generated for the
-// next level down: Fetches are block addresses that must be read (demand
-// miss first, then prefetch misses), Writebacks are dirty evicted blocks.
-// The slices alias buffers owned by the cache and are valid only until the
-// next Access or AccessRun call — callers must consume them immediately.
-type Result struct {
-	Hit        bool
-	Fetches    []int64
-	Writebacks []int64
-}
-
-// RunOpKind classifies one entry of a RunResult's traffic list.
+// RunOpKind classifies one entry of a traffic list.
 type RunOpKind uint8
 
 // Traffic kinds, in the order the memory system below must see them per
@@ -220,8 +229,8 @@ type RunOp struct {
 
 // RunResult tallies one AccessRun. Ops is the ordered traffic for the
 // level below; replaying it access-by-access reproduces exactly the
-// Fetches/Writebacks sequence the per-access Access API would have
-// produced. The Ops buffer is reused across calls on the same RunResult.
+// traffic lists the per-access Access calls would have returned. The Ops
+// buffer is reused across calls on the same RunResult.
 type RunResult struct {
 	Hits   uint64
 	Misses uint64
@@ -229,48 +238,34 @@ type RunResult struct {
 	wbTmp  []int64 // per-miss writeback staging (fetches precede writebacks)
 }
 
-// Access performs one demand access to addr. Size is implicit: accesses
-// are block-granular (the caller splits larger requests). The returned
-// slices are only valid until the next access (see Result).
-func (c *Cache) Access(addr int64, write bool) Result {
+// Access performs one demand access to addr and returns the traffic it
+// generated for the level below: empty on a hit; on a miss the demand
+// fetch, then any prefetch fetches, then dirty writebacks. Size is
+// implicit: accesses are block-granular (the caller splits larger
+// requests). The returned slice aliases a cache-owned buffer and is only
+// valid until the next Access — callers must consume it immediately.
+func (c *Cache) Access(addr int64, write bool) []RunOp {
 	c.scratch.Ops = c.scratch.Ops[:0]
-	if c.accessOps(addr, write, &c.scratch) {
-		return Result{Hit: true}
-	}
-	c.fetchBuf = c.fetchBuf[:0]
-	c.wbBuf = c.wbBuf[:0]
-	for _, op := range c.scratch.Ops {
-		if op.Kind == RunWriteback {
-			c.wbBuf = append(c.wbBuf, op.Addr)
-		} else {
-			c.fetchBuf = append(c.fetchBuf, op.Addr)
-		}
-	}
-	return Result{Fetches: c.fetchBuf, Writebacks: c.wbBuf}
+	c.accessOps(addr, write, &c.scratch)
+	return c.scratch.Ops
 }
 
 // accessOps is the single implementation of one demand access. Generated
-// traffic is appended to res.Ops (fetches first, then writebacks, matching
-// the order callers of Access drain Result). It reports whether the access
-// hit.
+// traffic is appended to res.Ops (fetches first, then writebacks). It
+// reports whether the access hit.
 func (c *Cache) accessOps(addr int64, write bool, res *RunResult) bool {
 	c.tick++
 	c.stats.Accesses++
 	set, tag := c.index(addr)
-	if l := c.lookup(set, tag); l != nil {
+	if i := c.lookup(set, tag); i >= 0 {
 		c.stats.Hits++
-		if l.prefetched {
-			c.stats.PrefetchHits++
-			l.prefetched = false
-		}
-		l.lastUse = c.tick
-		l.dirty = l.dirty || write
+		c.touch(i, write)
 		return true
 	}
 	// Demand miss: allocate.
 	c.stats.Misses++
 	res.wbTmp = res.wbTmp[:0]
-	res.Ops = append(res.Ops, RunOp{Addr: c.blockBase(addr), Kind: RunFetchDemand})
+	res.Ops = append(res.Ops, RunOp{Addr: c.BlockBase(addr), Kind: RunFetchDemand})
 	if wb, ok := c.insert(set, tag, write, false); ok {
 		res.wbTmp = append(res.wbTmp, wb)
 	}
@@ -278,11 +273,11 @@ func (c *Cache) accessOps(addr int64, write bool, res *RunResult) bool {
 	for i := 1; i <= c.cfg.PrefetchDegree; i++ {
 		pAddr := addr + int64(i*c.cfg.BlockBytes)
 		pSet, pTag := c.index(pAddr)
-		if c.lookup(pSet, pTag) != nil {
+		if c.lookup(pSet, pTag) >= 0 {
 			continue
 		}
 		c.stats.PrefetchIssued++
-		res.Ops = append(res.Ops, RunOp{Addr: c.blockBase(pAddr), Kind: RunFetchPrefetch})
+		res.Ops = append(res.Ops, RunOp{Addr: c.BlockBase(pAddr), Kind: RunFetchPrefetch})
 		if wb, ok := c.insert(pSet, pTag, false, true); ok {
 			res.wbTmp = append(res.wbTmp, wb)
 		}
@@ -291,6 +286,22 @@ func (c *Cache) accessOps(addr int64, write bool, res *RunResult) bool {
 		res.Ops = append(res.Ops, RunOp{Addr: wb, Kind: RunWriteback})
 	}
 	return false
+}
+
+// touch records a demand hit on line i: the LRU stamp moves to the
+// current tick, a write dirties the line, and the first demand use of a
+// prefetched line counts as a prefetch hit.
+func (c *Cache) touch(i int, write bool) {
+	f := c.flags[i]
+	if f&flagPrefetched != 0 {
+		c.stats.PrefetchHits++
+		f &^= flagPrefetched
+	}
+	if write {
+		f |= flagDirty
+	}
+	c.flags[i] = f
+	c.lastUse[i] = c.tick
 }
 
 // AccessRun performs count sequential demand accesses of stride bytes
@@ -311,7 +322,7 @@ func (c *Cache) AccessRun(addr int64, stride, count int, write bool, res *RunRes
 	res.Hits, res.Misses = 0, 0
 	res.Ops = res.Ops[:0]
 	for count > 0 {
-		blockEnd := (addr/bb + 1) * bb
+		blockEnd := c.BlockBase(addr) + bb
 		k := int((blockEnd - addr) / int64(stride))
 		if k > count {
 			k = count
@@ -324,7 +335,7 @@ func (c *Cache) AccessRun(addr int64, stride, count int, write bool, res *RunRes
 		}
 		if k > 1 {
 			set, tag := c.index(addr)
-			if l := c.lookup(set, tag); l != nil {
+			if i := c.lookup(set, tag); i >= 0 {
 				// The block survived its own prefetches (always, outside
 				// pathologically tiny configurations): the remaining k-1
 				// accesses are hits. Batch their bookkeeping; the final
@@ -334,12 +345,7 @@ func (c *Cache) AccessRun(addr int64, stride, count int, write bool, res *RunRes
 				c.stats.Accesses += m
 				c.stats.Hits += m
 				res.Hits += m
-				if l.prefetched {
-					c.stats.PrefetchHits++
-					l.prefetched = false
-				}
-				l.lastUse = c.tick
-				l.dirty = l.dirty || write
+				c.touch(i, write)
 			} else {
 				// The demand line was evicted by its own prefetch inserts:
 				// replay the remaining accesses one by one.
@@ -367,54 +373,65 @@ func (c *Cache) AccessHitRun(addr int64, count int, write bool) bool {
 		return true
 	}
 	set, tag := c.index(addr)
-	l := c.lookup(set, tag)
-	if l == nil {
+	i := c.lookup(set, tag)
+	if i < 0 {
 		return false
 	}
 	m := uint64(count)
 	c.tick += m
 	c.stats.Accesses += m
 	c.stats.Hits += m
-	if l.prefetched {
-		c.stats.PrefetchHits++
-		l.prefetched = false
-	}
-	l.lastUse = c.tick
-	l.dirty = l.dirty || write
+	c.touch(i, write)
 	return true
 }
 
-// lookup returns the matching valid line, updating nothing.
-func (c *Cache) lookup(set int, tag int64) *line {
-	for wi := range c.sets[set] {
-		l := &c.sets[set][wi]
-		if l.valid && l.gen == c.gen && l.tag == tag {
-			return l
+// lookup returns the line index holding (set, tag), or -1, updating
+// nothing.
+func (c *Cache) lookup(set int, tag int64) int {
+	base := set * c.cfg.Ways
+	for i, t := range c.tags[base : base+c.valid(set)] {
+		if t == tag {
+			return base + i
 		}
 	}
-	return nil
+	return -1
 }
 
-// insert allocates a line for (set, tag), evicting LRU. It returns the
+// insert allocates a line for (set, tag): the first invalid way, else
+// the least recently used one (the lowest way on ties). It returns the
 // writeback block address if the victim was dirty.
 func (c *Cache) insert(set int, tag int64, dirty, prefetched bool) (writeback int64, dirtyEvict bool) {
-	victim := 0
-	for wi := range c.sets[set] {
-		l := &c.sets[set][wi]
-		if !l.valid || l.gen != c.gen {
-			victim = wi
-			break
+	base := set * c.cfg.Ways
+	st := &c.sets[set]
+	if st.gen != c.gen {
+		st.gen, st.n = c.gen, 0
+	}
+	var v int
+	if st.n < c.cfg.Ways {
+		v = base + st.n
+		st.n++
+	} else {
+		lru := c.lastUse[base : base+c.cfg.Ways]
+		w := 0
+		for i, t := range lru {
+			if t < lru[w] {
+				w = i
+			}
 		}
-		if l.lastUse < c.sets[set][victim].lastUse {
-			victim = wi
+		v = base + w
+		if c.flags[v]&flagDirty != 0 {
+			writeback = c.blockAddr(set, c.tags[v])
+			dirtyEvict = true
+			c.stats.DirtyEvictions++
 		}
 	}
-	v := &c.sets[set][victim]
-	if v.valid && v.gen == c.gen && v.dirty {
-		writeback = c.blockAddr(set, v.tag)
-		dirtyEvict = true
-		c.stats.DirtyEvictions++
+	var f uint8
+	if dirty {
+		f |= flagDirty
 	}
-	*v = line{tag: tag, gen: c.gen, valid: true, dirty: dirty, prefetched: prefetched, lastUse: c.tick}
+	if prefetched {
+		f |= flagPrefetched
+	}
+	c.tags[v], c.lastUse[v], c.flags[v] = tag, c.tick, f
 	return writeback, dirtyEvict
 }

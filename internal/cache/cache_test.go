@@ -2,9 +2,29 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
+
+// hit reports whether an Access generated no traffic below (a hit).
+func hit(ops []RunOp) bool { return len(ops) == 0 }
+
+// fetches returns the block addresses an Access fetched from below.
+func fetches(ops []RunOp) []int64 { return opAddrs(ops, false) }
+
+// writebacks returns the dirty blocks an Access evicted.
+func writebacks(ops []RunOp) []int64 { return opAddrs(ops, true) }
+
+func opAddrs(ops []RunOp, wb bool) []int64 {
+	var out []int64
+	for _, op := range ops {
+		if (op.Kind == RunWriteback) == wb {
+			out = append(out, op.Addr)
+		}
+	}
+	return out
+}
 
 // tiny returns a 4-set, 2-way, 64 B-block cache without prefetching.
 func tiny() *Cache {
@@ -25,11 +45,11 @@ func TestConfigPresets(t *testing.T) {
 func TestMissThenHit(t *testing.T) {
 	c := tiny()
 	r1 := c.Access(0, false)
-	if r1.Hit || len(r1.Fetches) != 1 || r1.Fetches[0] != 0 {
+	if hit(r1) || len(fetches(r1)) != 1 || fetches(r1)[0] != 0 {
 		t.Fatalf("first access: %+v", r1)
 	}
 	r2 := c.Access(63, false) // same block
-	if !r2.Hit {
+	if !hit(r2) {
 		t.Fatal("same-block access missed")
 	}
 	s := c.Stats()
@@ -45,10 +65,10 @@ func TestLRUEviction(t *testing.T) {
 	c.Access(blk(1), false)
 	c.Access(blk(0), false) // touch 0: 1 becomes LRU
 	c.Access(blk(2), false) // evicts 1
-	if !c.Access(blk(0), false).Hit {
+	if !hit(c.Access(blk(0), false)) {
 		t.Fatal("block 0 should have survived")
 	}
-	if c.Access(blk(1), false).Hit {
+	if hit(c.Access(blk(1), false)) {
 		t.Fatal("block 1 should have been evicted")
 	}
 }
@@ -59,8 +79,8 @@ func TestDirtyWriteback(t *testing.T) {
 	c.Access(blk(0), true) // dirty
 	c.Access(blk(1), false)
 	r := c.Access(blk(2), false) // evicts dirty block 0
-	if len(r.Writebacks) != 1 || r.Writebacks[0] != blk(0) {
-		t.Fatalf("writebacks = %v, want [%d]", r.Writebacks, blk(0))
+	if len(writebacks(r)) != 1 || writebacks(r)[0] != blk(0) {
+		t.Fatalf("writebacks = %v, want [%d]", writebacks(r), blk(0))
 	}
 	if c.Stats().DirtyEvictions != 1 {
 		t.Fatalf("dirty evictions = %d", c.Stats().DirtyEvictions)
@@ -74,7 +94,7 @@ func TestWriteHitMarksDirty(t *testing.T) {
 	c.Access(blk(0), true)  // write hit dirties it
 	c.Access(blk(1), false)
 	r := c.Access(blk(2), false)
-	if len(r.Writebacks) != 1 {
+	if len(writebacks(r)) != 1 {
 		t.Fatal("write hit did not dirty the line")
 	}
 }
@@ -83,15 +103,15 @@ func TestNextLinePrefetch(t *testing.T) {
 	c := New(Config{SizeBytes: 4096, Ways: 4, BlockBytes: 64, PrefetchDegree: 3})
 	r := c.Access(0, false)
 	// Demand block + 3 prefetched blocks fetched from below.
-	if len(r.Fetches) != 4 {
-		t.Fatalf("fetches = %v", r.Fetches)
+	if len(fetches(r)) != 4 {
+		t.Fatalf("fetches = %v", fetches(r))
 	}
 	if c.Stats().PrefetchIssued != 3 {
 		t.Fatalf("prefetch issued = %d", c.Stats().PrefetchIssued)
 	}
 	// Sequential walk: next three blocks are hits on prefetched lines.
 	for i := 1; i <= 3; i++ {
-		if !c.Access(int64(i*64), false).Hit {
+		if !hit(c.Access(int64(i*64), false)) {
 			t.Fatalf("block %d not prefetched", i)
 		}
 	}
@@ -104,14 +124,14 @@ func TestPrefetchNotReissuedForResident(t *testing.T) {
 	c := New(Config{SizeBytes: 4096, Ways: 4, BlockBytes: 64, PrefetchDegree: 2})
 	c.Access(0, false)        // fetches 0, prefetches 64,128
 	r := c.Access(256, false) // miss; prefetch 320,384 (none resident)
-	if len(r.Fetches) != 3 {
-		t.Fatalf("fetches = %v", r.Fetches)
+	if len(fetches(r)) != 3 {
+		t.Fatalf("fetches = %v", fetches(r))
 	}
 	c2 := New(Config{SizeBytes: 4096, Ways: 4, BlockBytes: 64, PrefetchDegree: 2})
-	c2.Access(64, false)      // fetches 64, prefetches 128,192
-	r2 := c2.Access(0, false) // miss; 64 and 128 already resident
-	if len(r2.Fetches) != 1 { // only demand block 0
-		t.Fatalf("fetches = %v, want only demand block", r2.Fetches)
+	c2.Access(64, false)       // fetches 64, prefetches 128,192
+	r2 := c2.Access(0, false)  // miss; 64 and 128 already resident
+	if len(fetches(r2)) != 1 { // only demand block 0
+		t.Fatalf("fetches = %v, want only demand block", fetches(r2))
 	}
 }
 
@@ -134,7 +154,7 @@ func TestRandomAccessBeyondCapacityMissRate(t *testing.T) {
 	const n = 20000
 	for i := 0; i < n; i++ {
 		addr := rng.Int63n(64 << 20) // working set 8192× the cache
-		if c.Access(addr, false).Hit {
+		if hit(c.Access(addr, false)) {
 			hits++
 		}
 	}
@@ -151,7 +171,7 @@ func TestFlush(t *testing.T) {
 	if len(wbs) != 1 || wbs[0] != 0 {
 		t.Fatalf("flush writebacks = %v", wbs)
 	}
-	if c.Access(0, false).Hit {
+	if hit(c.Access(0, false)) {
 		t.Fatal("flush left valid lines")
 	}
 }
@@ -186,7 +206,7 @@ func TestCacheInvariantsProperty(t *testing.T) {
 		for i := 0; i < int(n); i++ {
 			addr := r.Int63n(1 << 16)
 			c.Access(addr, r.Intn(2) == 0)
-			if !c.Access(addr, false).Hit {
+			if !hit(c.Access(addr, false)) {
 				return false // temporal locality must always hit
 			}
 		}
@@ -195,5 +215,131 @@ func TestCacheInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rng}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refCache is a direct array-of-lines model of the replacement policy —
+// first invalid way, else the lowest lastUse, the lowest way on ties —
+// kept as the oracle for the flat structure-of-arrays sets.
+type refCache struct {
+	cfg   Config
+	sets  [][]refLine
+	tick  uint64
+	stats Stats
+}
+
+type refLine struct {
+	valid, dirty, prefetched bool
+	tag                      int64
+	lastUse                  uint64
+}
+
+func newRef(cfg Config) *refCache {
+	n := cfg.SizeBytes / (cfg.Ways * cfg.BlockBytes)
+	r := &refCache{cfg: cfg, sets: make([][]refLine, n)}
+	for i := range r.sets {
+		r.sets[i] = make([]refLine, cfg.Ways)
+	}
+	return r
+}
+
+func (r *refCache) find(addr int64) (set []refLine, tag int64, hit *refLine) {
+	blk := addr / int64(r.cfg.BlockBytes)
+	set, tag = r.sets[blk%int64(len(r.sets))], blk/int64(len(r.sets))
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
+			return set, tag, &set[i]
+		}
+	}
+	return set, tag, nil
+}
+
+func (r *refCache) fill(addr int64, dirty, prefetched bool) (wb int64, ok bool) {
+	set, tag, _ := r.find(addr)
+	v := 0
+	for i := range set {
+		if !set[i].valid {
+			v = i
+			break
+		}
+		if set[i].lastUse < set[v].lastUse {
+			v = i
+		}
+	}
+	if set[v].valid && set[v].dirty {
+		blk := set[v].tag*int64(len(r.sets)) + (addr/int64(r.cfg.BlockBytes))%int64(len(r.sets))
+		wb, ok = blk*int64(r.cfg.BlockBytes), true
+		r.stats.DirtyEvictions++
+	}
+	set[v] = refLine{valid: true, dirty: dirty, prefetched: prefetched, tag: tag, lastUse: r.tick}
+	return wb, ok
+}
+
+func (r *refCache) access(addr int64, write bool) []RunOp {
+	r.tick++
+	r.stats.Accesses++
+	if _, _, l := r.find(addr); l != nil {
+		r.stats.Hits++
+		if l.prefetched {
+			r.stats.PrefetchHits++
+			l.prefetched = false
+		}
+		l.lastUse = r.tick
+		l.dirty = l.dirty || write
+		return nil
+	}
+	r.stats.Misses++
+	bb := int64(r.cfg.BlockBytes)
+	ops := []RunOp{{Addr: addr / bb * bb, Kind: RunFetchDemand}}
+	var wbs []RunOp
+	if wb, ok := r.fill(addr, write, false); ok {
+		wbs = append(wbs, RunOp{Addr: wb, Kind: RunWriteback})
+	}
+	for i := 1; i <= r.cfg.PrefetchDegree; i++ {
+		p := addr + int64(i)*bb
+		if _, _, l := r.find(p); l != nil {
+			continue
+		}
+		r.stats.PrefetchIssued++
+		ops = append(ops, RunOp{Addr: p / bb * bb, Kind: RunFetchPrefetch})
+		if wb, ok := r.fill(p, false, true); ok {
+			wbs = append(wbs, RunOp{Addr: wb, Kind: RunWriteback})
+		}
+	}
+	return append(ops, wbs...)
+}
+
+// TestFlatSetsMatchReference replays random streams with hot and
+// far-field addresses through the cache and the array-of-lines oracle:
+// every traffic list (victim choice, writeback order) and the final
+// statistics agree, including across a Reset.
+func TestFlatSetsMatchReference(t *testing.T) {
+	for _, cfg := range []Config{
+		{SizeBytes: 2048, Ways: 4, BlockBytes: 64, PrefetchDegree: 2},
+		{SizeBytes: 3 * 64 * 8, Ways: 8, BlockBytes: 64, PrefetchDegree: 1}, // 3 sets: divide path
+		{SizeBytes: 4 * 64 * 2, Ways: 4, BlockBytes: 64, PrefetchDegree: 3}, // LRU ties within a set
+		L1D32K(),
+	} {
+		c := New(cfg)
+		rng := rand.New(rand.NewSource(int64(cfg.SizeBytes)))
+		for round := 0; round < 2; round++ {
+			ref := newRef(cfg)
+			for i := 0; i < 20000; i++ {
+				addr := rng.Int63n(int64(cfg.SizeBytes) * 4)
+				if rng.Intn(8) == 0 {
+					addr = rng.Int63n(1 << 30)
+				}
+				write := rng.Intn(3) == 0
+				want := ref.access(addr, write)
+				got := c.Access(addr, write)
+				if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+					t.Fatalf("%+v round %d access %d (%#x): traffic %v, want %v", cfg, round, i, addr, got, want)
+				}
+			}
+			if c.Stats() != ref.stats {
+				t.Fatalf("%+v round %d: stats %+v, want %+v", cfg, round, c.Stats(), ref.stats)
+			}
+			c.Reset()
+		}
 	}
 }

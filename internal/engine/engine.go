@@ -89,8 +89,9 @@ type Config struct {
 	// Parallelism bounds the host worker pool that executes independent
 	// per-vault work (0 = GOMAXPROCS, 1 = serial). It affects wall-clock
 	// time only: simulated results are bit-identical at every setting.
-	// Ignored by the CPU architecture, whose cores share the LLC and
-	// chip mesh and therefore must be evaluated in order.
+	// Host-core specs evaluate their cores in order (they share the LLC
+	// and chip mesh); there, 2 or more runs the shared-memory walk on a
+	// second goroutine during steps (llcstage.go).
 	Parallelism int
 	// NoBulk disables the batched run-based access fast path: operators
 	// fall back to their per-tuple reference loops and the run accessors
@@ -273,6 +274,10 @@ type Engine struct {
 	mesh   *noc.Mesh    // host-side tile mesh (host-core specs only)
 	tracer Tracer
 
+	// llcq is the second stage of the host-core memory path
+	// (llcstage.go), built on first use.
+	llcq *llcStage
+
 	// Shift/mask form of the block-interleaved NUCA bank hash
 	// (addr/blockBytes mod tiles), valid when both are powers of two;
 	// nucaShift==0 means "use the divide path".
@@ -445,8 +450,15 @@ func (e *Engine) TotalNs() float64 { return e.totalNs }
 // Steps returns the timing of every completed step.
 func (e *Engine) Steps() []StepTiming { return e.steps }
 
-// LLC returns the shared last-level cache (nil on specs without one).
-func (e *Engine) LLC() *cache.Cache { return e.llc }
+// LLC returns the shared last-level cache (nil on specs without one),
+// with every pending request retired.
+func (e *Engine) LLC() *cache.Cache {
+	e.drainLLC()
+	return e.llc
+}
 
 // DRAMStats returns cumulative DRAM statistics across all vaults.
-func (e *Engine) DRAMStats() dram.Stats { return e.Sys.TotalDRAMStats() }
+func (e *Engine) DRAMStats() dram.Stats {
+	e.drainLLC()
+	return e.Sys.TotalDRAMStats()
+}

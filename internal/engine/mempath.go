@@ -51,9 +51,9 @@ func (cpuPath) check(sp SystemSpec) error {
 }
 
 func (cpuPath) access(u *Unit, addr int64, size int, write bool) {
-	block := int64(u.L1.Config().BlockBytes)
+	block := int64(u.L1.BlockBytes())
 	end := addr + int64(size)
-	for a := addr / block * block; a < end; a += block {
+	for a := u.L1.BlockBase(addr); a < end; a += block {
 		u.cpuBlockAccess(a, write)
 	}
 }
@@ -68,8 +68,11 @@ func (cpuPath) runnable(u *Unit, addr int64, stride, count int) bool {
 	return u.cachedRunnable(addr, stride)
 }
 
+// route returns a latency to its caller, so it cannot be deferred into
+// the LLC stage: it drains the stage and charges the links directly.
 func (cpuPath) route(u *Unit, dst *hmc.Vault, size int) float64 {
 	e := u.engine
+	e.drainLLC()
 	lat := e.Sys.Net.Transfer(noc.CPUNode, dst.Cube, size)
 	return lat + e.Sys.Cubes[dst.Cube].Mesh.Transfer(0, dst.Tile, size)
 }
@@ -92,9 +95,9 @@ func (cachedVaultPath) check(sp SystemSpec) error {
 }
 
 func (cachedVaultPath) access(u *Unit, addr int64, size int, write bool) {
-	block := int64(u.L1.Config().BlockBytes)
+	block := int64(u.L1.BlockBytes())
 	end := addr + int64(size)
-	for a := addr / block * block; a < end; a += block {
+	for a := u.L1.BlockBase(addr); a < end; a += block {
 		u.nmpBlockAccess(a, write)
 	}
 }
@@ -168,7 +171,7 @@ func (streamPath) demandShuffle() bool { return false }
 // cachedRunnable is the bulk-eligibility condition shared by the cached
 // paths: elements must not straddle cache blocks or DRAM rows.
 func (u *Unit) cachedRunnable(addr int64, stride int) bool {
-	block := int64(u.L1.Config().BlockBytes)
+	block := int64(u.L1.BlockBytes())
 	if block%int64(stride) != 0 || addr%int64(stride) != 0 {
 		return false
 	}
@@ -196,37 +199,25 @@ func (u *Unit) vaultRoute(dst *hmc.Vault, size int) float64 {
 
 // cpuRunAccess retires a sequential run on a CPU core: per page, one full
 // TLB lookup plus batched TLB hits (the first lookup installs the entry);
-// per L1 block, the cache's own bulk walk; misses route through the LLC
-// exactly as the per-element path does, demand fetches stalling and
-// prefetches overlapping.
+// per L1 block, the cache's own bulk walk; the miss traffic list goes to
+// the LLC stage exactly as the per-element path sends it.
 func (u *Unit) cpuRunAccess(addr int64, stride, count int, write bool) {
-	block := u.L1.Config().BlockBytes
 	for count > 0 {
 		pageEnd := (addr/pageBytes + 1) * pageBytes
 		k := int((pageEnd - addr + int64(stride) - 1) / int64(stride))
 		if k > count {
 			k = count
 		}
-		u.stallRawNs += u.tlbLookup(addr)
+		u.tlbLookup(addr)
 		if k > 1 && !u.tlbL1.AccessHitRun(addr+int64(stride), k-1, false) {
 			// The first lookup always installs the page's entry; this
 			// branch only runs on pathological TLB geometries.
 			for i := 1; i < k; i++ {
-				u.stallRawNs += u.tlbLookup(addr + int64(i)*int64(stride))
+				u.tlbLookup(addr + int64(i)*int64(stride))
 			}
 		}
 		u.L1.AccessRun(addr, stride, k, write, &u.runRes)
-		for _, op := range u.runRes.Ops {
-			switch op.Kind {
-			case cache.RunFetchDemand:
-				// Only the demand block stalls; prefetches overlap.
-				u.stallRawNs += u.cpuFetchFromLLC(op.Addr, block)
-			case cache.RunFetchPrefetch:
-				u.cpuFetchFromLLC(op.Addr, block)
-			case cache.RunWriteback:
-				u.cpuWritebackToLLC(op.Addr, block)
-			}
-		}
+		u.toLLC(u.runRes.Ops)
 		addr += int64(k) * int64(stride)
 		count -= k
 	}
@@ -234,101 +225,46 @@ func (u *Unit) cpuRunAccess(addr int64, stride, count int, write bool) {
 
 // nmpRunAccess retires a sequential run on a cache-backed vault unit: the
 // L1 batches same-block hits, and the miss traffic list replays through
-// the fabric in the per-element order (demand fetch stalls, prefetches and
-// writebacks only occupy bandwidth).
+// the fabric in the per-element order.
 func (u *Unit) nmpRunAccess(addr int64, stride, count int, write bool) {
 	u.L1.AccessRun(addr, stride, count, write, &u.runRes)
-	block := u.L1.Config().BlockBytes
-	for _, op := range u.runRes.Ops {
-		switch op.Kind {
-		case cache.RunFetchDemand:
-			lat := u.directAccess(op.Addr, block, false)
-			if !write {
-				u.stallRawNs += lat
-			}
-		case cache.RunFetchPrefetch:
-			u.directAccess(op.Addr, block, false)
-		case cache.RunWriteback:
-			u.directAccess(op.Addr, block, true)
-		}
-	}
+	u.toFabric(u.runRes.Ops, write)
 }
 
 // pageBytes is the virtual-memory page size the CPU's TLBs cover.
 const pageBytes = 4096
 
-// tlbLookup translates one address, returning the translation stall. An
-// L1-TLB hit is free, an L2-TLB hit costs a couple of cycles, and a full
-// miss performs a page walk: a real memory read of the page-table entry
-// through the cache hierarchy (PTEs live in a reserved tail of the owning
-// vault, so walk traffic shares DRAM banks with the data).
-func (u *Unit) tlbLookup(addr int64) float64 {
-	if u.tlbL1.Access(addr, false).Hit {
-		return 0
-	}
-	if u.tlbL2.Access(addr, false).Hit {
-		return 2 // L2 TLB hit: ~4 cycles at 2 GHz
-	}
-	e := u.engine
-	v := e.Sys.VaultOf(addr)
-	page := (addr - v.Base) / pageBytes
-	reserved := v.Size / 16
-	// Two-level radix walk: the last two table levels are real memory
-	// reads (the top levels stay cached and are not charged). PMD
-	// entries cover 512 pages each.
-	pmd := v.Base + v.Size - reserved + (page/512*8)%(reserved/2)
-	pte := v.Base + v.Size - reserved/2 + (page*8)%(reserved/2)
-	lat := u.cpuFetchFromLLC(pmd/64*64, 64)
-	lat += u.cpuFetchFromLLC(pte/64*64, 64)
-	return lat
-}
-
-// cpuBlockAccess walks one block through TLB → L1 → LLC → star network →
-// vault.
-func (u *Unit) cpuBlockAccess(addr int64, write bool) {
-	u.stallRawNs += u.tlbLookup(addr)
-	res := u.L1.Access(addr, write)
-	if res.Hit {
+// tlbLookup translates one address. An L1-TLB hit is free, an L2-TLB hit
+// costs a couple of cycles, and a full miss performs a page walk: real
+// memory reads of the page-table entries through the cache hierarchy
+// (llcStage.walk). Both stalls are charged by the LLC stage, in order
+// with the unit's other LLC traffic.
+func (u *Unit) tlbLookup(addr int64) {
+	if len(u.tlbL1.Access(addr, false)) == 0 {
 		return
 	}
-	block := u.L1.Config().BlockBytes
-	var stall float64
-	for i, fetch := range res.Fetches {
-		lat := u.cpuFetchFromLLC(fetch, block)
-		if i == 0 { // only the demand block stalls; prefetches overlap
-			stall += lat
-		}
+	if len(u.tlbL2.Access(addr, false)) == 0 {
+		u.engine.llcStage().push(u, addr, recTLB2)
+		return
 	}
-	for _, wb := range res.Writebacks {
-		u.cpuWritebackToLLC(wb, block)
-	}
-	u.stallRawNs += stall
+	u.engine.llcStage().push(u, addr, recWalk)
 }
 
-// cpuFetchFromLLC brings one block from the LLC (or DRAM below it).
-func (u *Unit) cpuFetchFromLLC(addr int64, block int) float64 {
-	e := u.engine
-	bank := e.nucaBank(addr, block) // block-interleaved NUCA
-	lat := e.mesh.Transfer(u.tile, bank, block)
-	res := e.llc.Access(addr, false)
-	lat += e.llc.Config().HitLatencyNs
-	if res.Hit {
-		return lat
+// cpuBlockAccess walks one block through the TLB and the private L1 and
+// hands the L1's miss traffic to the LLC stage (LLC → star network →
+// vault).
+func (u *Unit) cpuBlockAccess(addr int64, write bool) {
+	u.tlbLookup(addr)
+	u.toLLC(u.L1.Access(addr, write))
+}
+
+// toLLC hands an L1 traffic list to the LLC stage in order: the demand
+// fetch stalls the core, prefetches overlap, writebacks spill.
+func (u *Unit) toLLC(ops []cache.RunOp) {
+	q := u.engine.llcStage()
+	for _, op := range ops {
+		q.push(u, op.Addr, op.Kind)
 	}
-	for _, fetch := range res.Fetches {
-		v := e.Sys.VaultOf(fetch)
-		l := e.Sys.Net.Transfer(noc.CPUNode, v.Cube, block) // request+data crossing
-		l += e.Sys.Cubes[v.Cube].Mesh.Transfer(0, v.Tile, block)
-		l += v.Read(fetch, block)
-		lat += l
-	}
-	for _, wb := range res.Writebacks {
-		v := e.Sys.VaultOf(wb)
-		e.Sys.Net.Transfer(noc.CPUNode, v.Cube, block)
-		e.Sys.Cubes[v.Cube].Mesh.Transfer(0, v.Tile, block)
-		v.Write(wb, block)
-	}
-	return lat
 }
 
 // nucaBank hashes a block address onto an LLC tile (block-interleaved
@@ -341,42 +277,28 @@ func (e *Engine) nucaBank(addr int64, block int) int {
 	return int(addr/int64(block)) % e.mesh.Tiles()
 }
 
-// cpuWritebackToLLC spills one dirty L1 block into the LLC.
-func (u *Unit) cpuWritebackToLLC(addr int64, block int) {
-	e := u.engine
-	bank := e.nucaBank(addr, block)
-	e.mesh.Transfer(u.tile, bank, block)
-	res := e.llc.Access(addr, true)
-	if res.Hit {
-		return
-	}
-	for _, wb := range res.Writebacks {
-		v := e.Sys.VaultOf(wb)
-		e.Sys.Net.Transfer(noc.CPUNode, v.Cube, block)
-		e.Sys.Cubes[v.Cube].Mesh.Transfer(0, v.Tile, block)
-		v.Write(wb, block)
-	}
-}
-
 // nmpBlockAccess walks one block through the per-vault L1 and the fabric.
 func (u *Unit) nmpBlockAccess(addr int64, write bool) {
-	res := u.L1.Access(addr, write)
-	if res.Hit {
-		return
-	}
-	block := u.L1.Config().BlockBytes
-	var stall float64
-	for i, fetch := range res.Fetches {
-		lat := u.directAccess(fetch, block, false)
-		if i == 0 {
-			stall += lat
+	u.toFabric(u.L1.Access(addr, write), write)
+}
+
+// toFabric replays an L1 traffic list through the fabric: the demand
+// fetch stalls a load (stores are fire-and-forget), prefetches and
+// writebacks only occupy bandwidth.
+func (u *Unit) toFabric(ops []cache.RunOp, write bool) {
+	block := u.L1.BlockBytes()
+	for _, op := range ops {
+		switch op.Kind {
+		case cache.RunFetchDemand:
+			lat := u.directAccess(op.Addr, block, false)
+			if !write {
+				u.stallRawNs += lat
+			}
+		case cache.RunFetchPrefetch:
+			u.directAccess(op.Addr, block, false)
+		case cache.RunWriteback:
+			u.directAccess(op.Addr, block, true)
 		}
-	}
-	for _, wb := range res.Writebacks {
-		u.directAccess(wb, block, true)
-	}
-	if !write {
-		u.stallRawNs += stall
 	}
 }
 

@@ -63,6 +63,7 @@ type obsTotals struct {
 }
 
 func (e *Engine) obsSnapshot() obsTotals {
+	e.drainLLC()
 	var t obsTotals
 	for _, u := range e.units {
 		t.insts += u.instTotal

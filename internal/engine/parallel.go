@@ -40,10 +40,7 @@ func (e *Engine) Workers() int {
 	if e.sharedUnits() {
 		return 1
 	}
-	w := e.cfg.Parallelism
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
+	w := e.parallelism()
 	if w < 1 {
 		return 1
 	}
@@ -51,6 +48,16 @@ func (e *Engine) Workers() int {
 		w = len(e.units)
 	}
 	return w
+}
+
+// parallelism resolves Config.Parallelism: 0 selects GOMAXPROCS. On
+// host-core specs, 2 or more runs the LLC stage on a goroutine of its
+// own during steps (llcstage.go).
+func (e *Engine) parallelism() int {
+	if e.cfg.Parallelism == 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return e.cfg.Parallelism
 }
 
 // ForEachVault runs fn(v, UnitForVault(v)) for every vault, fanning the

@@ -26,6 +26,9 @@ import "github.com/ecocloud-go/mondrian/internal/obs"
 // resetting engines whose run has completed). Not safe for concurrent use
 // with a running operator.
 func (e *Engine) Reset() {
+	if e.llcq != nil {
+		e.llcq.park() // retire pending requests before the fabric is cleared
+	}
 	// Memory fabric: DRAM stats/busy/rows, vault allocators and
 	// permutation regions, SerDes links, cube meshes.
 	e.Sys.ResetAll()

@@ -82,6 +82,9 @@ func (e *Engine) BeginStep(p StepProfile) {
 	}
 	e.inStep = true
 	e.profile = p
+	if e.spec.Path == PathCPU {
+		e.llcStage().beginStep(e.parallelism() >= 2)
+	}
 	e.snap = e.takeSnapshot()
 	for _, u := range e.units {
 		u.insts = 0
@@ -98,6 +101,12 @@ func (e *Engine) EndStep() StepTiming {
 	}
 	e.inStep = false
 	p := e.profile
+	if s := e.llcq; s != nil {
+		s.park()
+		for i, u := range e.units {
+			u.stallRawNs = s.stall[i].ns
+		}
+	}
 
 	var unitNs []float64
 	if e.cfg.Obs != nil {
@@ -185,6 +194,7 @@ func (e *Engine) Barriers() int { return e.barrierCnt }
 // Energy converts the run's accumulated activity into the paper's Fig. 8
 // breakdown using the Table 4 constants.
 func (e *Engine) Energy(p energy.Params) energy.Breakdown {
+	e.drainLLC()
 	seconds := e.totalNs * 1e-9
 	var b energy.Breakdown
 
