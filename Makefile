@@ -48,8 +48,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRunNoPanic -fuzztime=15s ./internal/simulate/
 	$(GO) test -run='^$$' -fuzz=FuzzRunPlanNoPanic -fuzztime=15s ./internal/simulate/
 
-# Operator benchmarks (bulk fast path vs columnar kernels vs per-tuple
-# reference), the host worker-pool scaling sweep, and the fused-vs-staged
+# Operator benchmarks (bulk fast path vs per-tuple reference), the host worker-pool scaling sweep, and the fused-vs-staged
 # query-plan benchmarks, converted to a benchstat-compatible JSON
 # snapshot. `jq -r '.raw[]' BENCH_PR2.json` reconstructs plain
 # `go test -bench` output for benchstat. The second step regenerates
@@ -88,20 +87,18 @@ bench-smoke:
 
 # Re-record the benchmark baseline (run on the reference machine;
 # benchguard skips when the CPU model differs): the disabled-metrics
-# overhead benchmark, the columnar kernel microbenchmarks, the
-# fused/staged query-plan end-to-end runs, and the pooled-lifecycle and
-# serve-scheduler benchmarks.
+# overhead benchmark, the fused/staged query-plan end-to-end runs, and
+# the pooled-lifecycle and serve-scheduler benchmarks.
 bench-baseline:
 	( $(GO) test -bench='BenchmarkObsOverhead|BenchmarkPlanJoinAggSort' -benchtime=5x -count=3 -run=^$$ . ; \
 	  $(GO) test -bench='BenchmarkPooledRun|BenchmarkServeQPS' -benchtime=100x -count=3 -run=^$$ . ; \
-	  $(GO) test -bench=BenchmarkObsWindowOverhead -benchtime=20000x -count=5 -run=^$$ . ; \
-	  $(GO) test -bench=BenchmarkColumnarKernel -benchtime=20x -count=3 -run=^$$ ./internal/tuple ) \
+	  $(GO) test -bench=BenchmarkObsWindowOverhead -benchtime=20000x -count=5 -run=^$$ . ) \
 	  | $(GO) run ./cmd/benchjson > BENCH_BASELINE.json
 	@echo wrote BENCH_BASELINE.json
 
 # Fail if the nil-registry (observability disabled) path got >5% slower,
-# or any columnar kernel, query-plan run, rolling-window record, or
-# serve-scheduler batch got >10% slower, than the recorded baseline. The
+# or any query-plan run, rolling-window record, or serve-scheduler
+# batch got >10% slower, than the recorded baseline. The
 # pooled single-run bench gets a looser 25% bound: a pooled run is
 # sub-millisecond, so host noise that washes out over a ServeQPS batch
 # shows up directly there. Both sides run -count=3 and benchguard keeps
@@ -113,8 +110,6 @@ bench-guard:
 	$(GO) run ./cmd/benchguard -baseline BENCH_BASELINE.json -current /tmp/bench_obs_current.json
 	$(GO) test -bench=BenchmarkObsWindowOverhead -benchtime=20000x -count=5 -run=^$$ . | $(GO) run ./cmd/benchjson > /tmp/bench_window_current.json
 	$(GO) run ./cmd/benchguard -baseline BENCH_BASELINE.json -current /tmp/bench_window_current.json -match '^BenchmarkObsWindowOverhead' -threshold 0.10
-	$(GO) test -bench=BenchmarkColumnarKernel -benchtime=20x -count=3 -run=^$$ ./internal/tuple | $(GO) run ./cmd/benchjson > /tmp/bench_cols_current.json
-	$(GO) run ./cmd/benchguard -baseline BENCH_BASELINE.json -current /tmp/bench_cols_current.json -match '^BenchmarkColumnarKernel' -threshold 0.10
 	$(GO) test -bench=BenchmarkPlanJoinAggSort -benchtime=5x -count=3 -run=^$$ . | $(GO) run ./cmd/benchjson > /tmp/bench_plan_current.json
 	$(GO) run ./cmd/benchguard -baseline BENCH_BASELINE.json -current /tmp/bench_plan_current.json -match '^BenchmarkPlanJoinAggSort' -threshold 0.10
 	$(GO) test -bench='BenchmarkPooledRun|BenchmarkServeQPS' -benchtime=100x -count=3 -run=^$$ . | $(GO) run ./cmd/benchjson > /tmp/bench_serve_current.json
@@ -126,11 +121,10 @@ bench-guard:
 bench-compare:
 	( $(GO) test -bench='BenchmarkObsOverhead$$|BenchmarkPlanJoinAggSort' -benchtime=5x -run=^$$ . ; \
 	  $(GO) test -bench='BenchmarkPooledRun|BenchmarkServeQPS' -benchtime=100x -run=^$$ . ; \
-	  $(GO) test -bench=BenchmarkObsWindowOverhead -benchtime=20000x -run=^$$ . ; \
-	  $(GO) test -bench=BenchmarkColumnarKernel -benchtime=20x -run=^$$ ./internal/tuple ) \
+	  $(GO) test -bench=BenchmarkObsWindowOverhead -benchtime=20000x -run=^$$ . ) \
 	  | $(GO) run ./cmd/benchjson > /tmp/bench_compare_current.json
 	$(GO) run ./cmd/benchguard -baseline BENCH_BASELINE.json -current /tmp/bench_compare_current.json \
-	  -match '^Benchmark(ObsOverhead|ObsWindowOverhead|ColumnarKernel|PlanJoinAggSort|PooledRun|ServeQPS)' -report
+	  -match '^Benchmark(ObsOverhead|ObsWindowOverhead|PlanJoinAggSort|PooledRun|ServeQPS)' -report
 
 # End-to-end daemon smoke: boot mondrian-serve on an ephemeral port,
 # curl /healthz, /metrics, /tenants and /flightrecorder, require live

@@ -91,9 +91,6 @@ func run() error {
 		// environment override so the flag and variable compose.
 		skewAware = flag.Bool("skew-aware", defaults.SkewAware, "enable skew-aware execution (heavy-hitter detection, exact provisioning, hot-key splitting, work stealing)")
 
-		// -columnar defaults to the MONDRIAN_COLUMNAR environment
-		// override so the flag and variable compose.
-		columnar = flag.Bool("columnar", defaults.Columnar, "run the columnar (structure-of-arrays) host kernels; simulated results are byte-identical")
 		zipfS    = flag.Float64("zipf-s", 0, "Zipf exponent for skewed workload keys (0 = uniform; must be > 1 otherwise)")
 		overprov = flag.Float64("overprovision", 0, "destination-buffer overprovision factor (0 = operator default)")
 
@@ -142,7 +139,6 @@ func run() error {
 	p.Parallelism = *par
 	p.Seed = *seed
 	p.SkewAware = *skewAware
-	p.Columnar = *columnar
 	p.ZipfS = *zipfS
 	p.Overprovision = *overprov
 	p.NoFusion = *staged

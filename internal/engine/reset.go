@@ -16,9 +16,9 @@ import "github.com/ecocloud-go/mondrian/internal/obs"
 //     buffers and counters, link/mesh stats, vault allocators and
 //     permutation regions, step/phase/exchange/skew accounting) — all of
 //     it cleared to construction values;
-//   - host-side scratch capacity (per-unit arenas, stream groups, trace
-//     buffers, cache run buffers) — retained, so pooled re-runs keep the
-//     zero-allocation steady state the columnar kernels rely on.
+//   - host-side scratch capacity (trace buffers, cache run buffers, the
+//     host-core LLC stage ring) — retained, so pooled re-runs reuse it
+//     instead of growing it again.
 
 // Reset restores the engine to its just-constructed state. Regions,
 // readers and results handed out by previous runs are invalidated — the
@@ -63,13 +63,6 @@ func (e *Engine) Reset() {
 		u.accessTotal = 0
 		u.buffering = false
 		u.traceBuf = u.traceBuf[:0]
-		// The arena is retained as-is (grow-only scratch; its borrowed
-		// buffers were all returned when the previous run's operators
-		// finished). The stream group keeps its storage but drops the
-		// stale region views so no tuple data outlives the run.
-		if u.streamGroup != nil {
-			u.streamGroup.Reset()
-		}
 	}
 
 	e.tracer = nil

@@ -79,48 +79,6 @@ func TestResetRestoresPristineState(t *testing.T) {
 	}
 }
 
-func TestResetRetainsScratchCapacity(t *testing.T) {
-	e := mustEngine(t, mondrianConfig())
-	u := e.Units()[0]
-
-	// Warm the arena and stream group once.
-	a := u.Arena()
-	a.PutCols(a.Cols(256))
-	g := u.StreamGroup()
-	r, err := e.Place(0, make([]tuple.Tuple, 512))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cycle := func(reg *Region) {
-		g.Reset()
-		g.AddView(reg, 0, reg.Len())
-		if _, err := g.Open(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cycle(r)
-
-	e.Reset()
-	if u.streamGroup != g {
-		t.Fatal("Reset replaced the unit's stream group")
-	}
-	if u.Arena() != a {
-		t.Fatal("Reset replaced the unit's arena")
-	}
-	// Pooled re-run steady state: after Reset, arena borrows and stream
-	// group cycles must stay allocation-free on retained capacity.
-	r2, err := e.Place(0, make([]tuple.Tuple, 512))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(5, func() { a.PutCols(a.Cols(256)) }); allocs != 0 {
-		t.Errorf("arena borrow allocates %.1f times after Reset", allocs)
-	}
-	if allocs := testing.AllocsPerRun(5, func() { cycle(r2) }); allocs != 0 {
-		t.Errorf("stream-group cycle allocates %.1f times after Reset", allocs)
-	}
-}
-
 func TestPoolReuseAndKeying(t *testing.T) {
 	p := NewPool(2)
 	cfg := mondrianConfig()

@@ -52,31 +52,12 @@ type Unit struct {
 
 	// runRes is the reusable tally for bulk cache runs (accessRun).
 	runRes cache.RunResult
-
-	// arena is the unit's scratch allocator for the columnar kernels
-	// (Config.Columnar): grow-only, so steady-state batches allocate
-	// nothing. Single-threaded by per-unit ownership.
-	arena tuple.Arena
-
-	// streamGroup is the unit's reusable OpenStreams storage
-	// (StreamGroup in streams.go); lazily created.
-	streamGroup *StreamGroup
 }
 
 // Bulk reports whether the batched run-based fast path is enabled for
 // this unit's engine (see Config.NoBulk). Operators consult it to pick
 // between their run-based loops and the per-tuple reference loops.
 func (u *Unit) Bulk() bool { return !u.engine.cfg.NoBulk }
-
-// Columnar reports whether the structure-of-arrays host kernels are
-// enabled (see Config.Columnar). Columnar is a refinement of the bulk
-// path, so it is false whenever NoBulk disables batching.
-func (u *Unit) Columnar() bool { return u.engine.cfg.Columnar && !u.engine.cfg.NoBulk }
-
-// Arena returns the unit's columnar scratch arena. Operators borrow
-// columns / id arrays / staging buffers per batch and return them, so
-// the warmed steady state allocates nothing.
-func (u *Unit) Arena() *tuple.Arena { return &u.arena }
 
 // Charge adds retired instructions to the unit's current step. The
 // operator cost model (internal/operators) decides the amounts; SIMD
@@ -186,7 +167,6 @@ func (u *Unit) StoreTuple(r *Region, idx int, t tuple.Tuple) {
 	}
 	ensureLen(r, idx+1)
 	r.Tuples[idx] = t
-	r.keysOK = false
 	u.WriteBytes(r.addrOf(idx), tuple.Size)
 }
 
@@ -198,7 +178,6 @@ func (u *Unit) AppendLocal(r *Region, t tuple.Tuple) {
 	}
 	idx := len(r.Tuples)
 	r.Tuples = append(r.Tuples, t)
-	r.keysOK = false
 	u.WriteBytes(r.addrOf(idx), tuple.Size)
 }
 
@@ -227,7 +206,6 @@ func (u *Unit) StoreRun(r *Region, start int, ts []tuple.Tuple) {
 	}
 	ensureLen(r, start+len(ts))
 	copy(r.Tuples[start:], ts)
-	r.keysOK = false
 	u.WriteRunBytes(r.addrOf(start), tuple.Size, len(ts))
 }
 
@@ -242,7 +220,6 @@ func (u *Unit) AppendRunLocal(r *Region, ts []tuple.Tuple) {
 	}
 	idx := len(r.Tuples)
 	r.Tuples = append(r.Tuples, ts...)
-	r.keysOK = false
 	u.WriteRunBytes(r.addrOf(idx), tuple.Size, len(ts))
 }
 
@@ -250,48 +227,6 @@ func ensureLen(r *Region, n int) {
 	for len(r.Tuples) < n {
 		r.Tuples = append(r.Tuples, tuple.Tuple{})
 	}
-}
-
-// LoadRunCols reads tuples [start, start+n) of region r as one
-// sequential run and appends them to c in SoA form. The charged traffic
-// is byte-identical to LoadRun (and hence to n LoadTuple calls): the
-// simulated memory holds AoS tuples, and the columnar copy is host-side
-// representation work only.
-func (u *Unit) LoadRunCols(r *Region, start, n int, c *tuple.Columns) {
-	if n == 0 {
-		return
-	}
-	if start < 0 || n < 0 || start+n > len(r.Tuples) {
-		panic(fmt.Sprintf("engine: load run [%d,+%d) outside region of %d", start, n, len(r.Tuples)))
-	}
-	u.ReadRunBytes(r.addrOf(start), tuple.Size, n)
-	c.AppendTuples(r.Tuples[start : start+n])
-}
-
-// StoreRunCols writes elements [lo, hi) of c into region r at start as
-// one sequential run — accounting byte-identical to StoreRun of the
-// same tuples.
-func (u *Unit) StoreRunCols(r *Region, start int, c *tuple.Columns, lo, hi int) {
-	n := hi - lo
-	if n == 0 {
-		return
-	}
-	if lo < 0 || hi > c.Len() || n < 0 {
-		panic(fmt.Sprintf("engine: store cols [%d,%d) outside columns of %d", lo, hi, c.Len()))
-	}
-	if start < 0 || start+n > r.cap {
-		panic(fmt.Sprintf("engine: store run [%d,+%d) outside capacity %d", start, n, r.cap))
-	}
-	ensureLen(r, start+n)
-	ts := r.Tuples[start : start+n]
-	ks := c.Keys[lo:hi]
-	vs := c.Vals[lo:hi]
-	for i := range ts {
-		ts[i].Key = ks[i]
-		ts[i].Val = vs[i]
-	}
-	r.keysOK = false
-	u.WriteRunBytes(r.addrOf(start), tuple.Size, n)
 }
 
 // --- shuffle (partitioning-phase data distribution) -----------------------
@@ -307,7 +242,6 @@ func (u *Unit) SendAt(dst *Region, idx int, t tuple.Tuple) {
 	}
 	ensureLen(dst, idx+1)
 	dst.Tuples[idx] = t
-	dst.keysOK = false
 	if u.path.demandShuffle() {
 		// Host-core stores go through the cache hierarchy.
 		u.WriteBytes(dst.addrOf(idx), tuple.Size)
@@ -343,6 +277,5 @@ func (u *Unit) SendPermutable(dst *Region, t tuple.Tuple) error {
 	}
 	u.trace(TracePermuted, placed, tuple.Size, true)
 	dst.Tuples = append(dst.Tuples, t) // arrival order IS the layout
-	dst.keysOK = false
 	return nil
 }

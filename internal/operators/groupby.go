@@ -197,58 +197,6 @@ func groupBySortProbe(e *engine.Engine, cm CostModel, buckets []*engine.Region, 
 	e.BeginStep(probeProfile(e, prof))
 	if err := e.ForEachTaskWeighted(len(sorted), stealWeights(e, sorted), func(b int) error {
 		u := unitForBucket(e, b)
-		if u.Columnar() {
-			// Columnar path: group boundaries come from the RunEnd kernel
-			// over the bucket's dense key column; reads, charges and
-			// emissions follow the bulk path exactly.
-			keys := sorted[b].KeyColumn()
-			g := u.StreamGroup()
-			g.Reset()
-			g.AddView(sorted[b], 0, sorted[b].Len())
-			readers, err := g.Open()
-			if err != nil {
-				return err
-			}
-			rd := readers[0]
-			ts := sorted[b].Tuples
-			n := len(keys)
-			c := 0 // tuples consumed from the reader so far
-			for gs := 0; gs < n; {
-				ge := tuple.RunEnd(keys, gs)
-				want := ge + 1
-				if want > n {
-					want = n
-				}
-				if k := want - c; k > 0 {
-					rd.NextRun(k)
-					u.ChargeRun(insts, k)
-					c = want
-				}
-				var agg Aggregates
-				if skewAware && ge-gs >= splitGroupMinTuples {
-					agg = shardedAggregate(ts[gs:ge])
-					splits[b]++
-				} else {
-					agg = Aggregates{Min: ^uint64(0)}
-					for i := gs; i < ge; i++ {
-						v := uint64(ts[i].Val)
-						agg.Count++
-						agg.Sum += v
-						agg.SumSq += v * v
-						if v < agg.Min {
-							agg.Min = v
-						}
-						if v > agg.Max {
-							agg.Max = v
-						}
-					}
-				}
-				emitGroupRun(u, outs[b], keys[gs], &agg)
-				nGroups[b]++
-				gs = ge
-			}
-			return nil
-		}
 		readers, err := u.OpenStreams(sorted[b])
 		if err != nil {
 			return err

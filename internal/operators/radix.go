@@ -103,7 +103,6 @@ func ensureCap(r *engine.Region, n int) {
 		r.Tuples = append(r.Tuples, tuple.Tuple{})
 	}
 	r.Tuples = r.Tuples[:n]
-	r.MarkMutated() // direct length change bypassed the engine's mutators
 }
 
 // RadixSortBuckets sorts every bucket with LSD radix sort in lockstep

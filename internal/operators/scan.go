@@ -54,28 +54,6 @@ func Scan(e *engine.Engine, cfg Config, inputs []*engine.Region, needle tuple.Ke
 		// byte crosses the CPU's SerDes links.
 		for v, in := range inputs {
 			u := e.Units()[v%len(e.Units())]
-			if u.Columnar() {
-				// Columnar path: the match search runs over the dense key
-				// column (FindKey's flat compare loop) instead of striding
-				// the AoS tuples; runs retire exactly as in the bulk path.
-				ts := in.Tuples
-				keys := in.KeyColumn()
-				for pos := 0; pos < len(keys); {
-					m := tuple.FindKey(keys, pos, needle)
-					n := m - pos
-					if m < len(keys) {
-						n++ // include the matching tuple in the run
-					}
-					u.LoadRun(in, pos, n)
-					u.ChargeRun(insts, n)
-					if m < len(keys) {
-						u.AppendLocal(outs[v], ts[m])
-						res.Matches++
-					}
-					pos += n
-				}
-				continue
-			}
 			if u.Bulk() {
 				// Bulk path: peek ahead in the functional data to find the
 				// next match, then retire the whole stretch up to and
@@ -113,14 +91,6 @@ func Scan(e *engine.Engine, cfg Config, inputs []*engine.Region, needle tuple.Ke
 	} else {
 		matches := make([]int, len(inputs))
 		if err := e.ForEachVaultWeighted(stealWeights(e, inputs), func(v int, u *engine.Unit) error {
-			if u.Columnar() {
-				// Columnar path: stream setup through the unit's reusable
-				// group and the match search over the dense key column —
-				// the steady state allocates nothing.
-				m, err := scanVaultColumnar(u, inputs[v], outs[v], needle, insts)
-				matches[v] = m
-				return err
-			}
 			readers, err := u.OpenStreams(inputs[v])
 			if err != nil {
 				return err
@@ -168,39 +138,4 @@ func Scan(e *engine.Engine, cfg Config, inputs []*engine.Region, needle tuple.Ke
 	res.Steps = append(res.Steps, e.EndStep())
 	res.ProbeNs = e.TotalNs() - t0
 	return res, nil
-}
-
-// scanVaultColumnar is one vault's columnar scan: the needle search runs
-// over the region's dense key column, and the consumed stretches retire
-// through the stream reader exactly as the bulk path retires them, so
-// the charged access sequence is identical. The reusable stream group
-// and the region's cached key mirror make the steady state
-// allocation-free.
-func scanVaultColumnar(u *engine.Unit, in, out *engine.Region, needle tuple.Key, insts float64) (int, error) {
-	g := u.StreamGroup()
-	g.Reset()
-	g.AddView(in, 0, in.Len())
-	readers, err := g.Open()
-	if err != nil {
-		return 0, err
-	}
-	rd := readers[0]
-	ts := in.Tuples
-	keys := in.KeyColumn()
-	matches := 0
-	for pos := 0; pos < len(keys); {
-		m := tuple.FindKey(keys, pos, needle)
-		n := m - pos
-		if m < len(keys) {
-			n++ // include the matching tuple in the run
-		}
-		rd.NextRun(n)
-		u.ChargeRun(insts, n)
-		if m < len(keys) {
-			u.AppendLocal(out, ts[m])
-			matches++
-		}
-		pos += n
-	}
-	return matches, nil
 }

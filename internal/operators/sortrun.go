@@ -28,24 +28,6 @@ func quicksortLocal(u *engine.Unit, cm CostModel, r *engine.Region) {
 	if n == 0 {
 		return
 	}
-	if u.Columnar() {
-		// Columnar path: split the bucket into key/value columns, radix
-		// sort the key column carrying the payload permutation, and
-		// interleave back. Charges are identical to the bulk path; only
-		// the host algorithm (and the permutation among equal keys,
-		// which nothing simulated observes) differs.
-		a := u.Arena()
-		c := a.Cols(n)
-		scratch := a.Cols(n)
-		c.Reset()
-		u.LoadRunCols(r, 0, n, c)
-		c.SortByKey(scratch)
-		u.Charge(float64(n) * log2ceil(n) * cm.QuicksortInsts)
-		u.StoreRunCols(r, 0, c, 0, n)
-		a.PutCols(scratch)
-		a.PutCols(c)
-		return
-	}
 	if u.Bulk() {
 		u.LoadRun(r, 0, n)
 		tuple.SortSliceByKey(r.Tuples)
@@ -68,36 +50,6 @@ func quicksortLocal(u *engine.Unit, cm CostModel, r *engine.Region) {
 // region, the O(n log n) compare work over the full group working set,
 // and one streaming store back.
 func quicksortSuper(u *engine.Unit, cm CostModel, regions []*engine.Region) {
-	if u.Columnar() {
-		// Columnar path: gather the group into arena-backed columns
-		// (instead of a fresh []Tuple per group), radix sort the key
-		// column, and store back region by region. Same charges, zero
-		// steady-state allocations.
-		total := 0
-		for _, r := range regions {
-			total += r.Len()
-		}
-		if total == 0 {
-			return
-		}
-		a := u.Arena()
-		c := a.Cols(total)
-		scratch := a.Cols(total)
-		c.Reset()
-		for _, r := range regions {
-			u.LoadRunCols(r, 0, r.Len(), c)
-		}
-		c.SortByKey(scratch)
-		u.Charge(float64(total) * log2ceil(total) * cm.QuicksortInsts)
-		k := 0
-		for _, r := range regions {
-			u.StoreRunCols(r, 0, c, k, k+r.Len())
-			k += r.Len()
-		}
-		a.PutCols(scratch)
-		a.PutCols(c)
-		return
-	}
 	if u.Bulk() {
 		total := 0
 		for _, r := range regions {
@@ -177,25 +129,11 @@ func formRuns(u *engine.Unit, cm CostModel, r *engine.Region, simd bool) error {
 	if n == 0 {
 		return nil
 	}
-	var in *engine.StreamReader
-	if u.Columnar() {
-		// Columnar runs draw the reader from the unit's reusable stream
-		// group so run formation allocates nothing in steady state.
-		sg := u.StreamGroup()
-		sg.Reset()
-		sg.AddView(r, 0, n)
-		readers, err := sg.Open()
-		if err != nil {
-			return err
-		}
-		in = readers[0]
-	} else {
-		readers, err := u.OpenStreams(r)
-		if err != nil {
-			return err
-		}
-		in = readers[0]
+	readers, err := u.OpenStreams(r)
+	if err != nil {
+		return err
 	}
+	in := readers[0]
 	var out []tuple.Tuple
 	if u.Bulk() {
 		// The read pass fully precedes the write pass and NextRun hands
@@ -210,7 +148,6 @@ func formRuns(u *engine.Unit, cm CostModel, r *engine.Region, simd bool) error {
 			}
 			tuple.SortSliceByKey(run[g:end])
 		}
-		r.MarkMutated() // in-place sort bypassed the engine's mutators
 	} else {
 		out = make([]tuple.Tuple, 0, n)
 		for !in.Done() {
@@ -242,7 +179,6 @@ func formRuns(u *engine.Unit, cm CostModel, r *engine.Region, simd bool) error {
 		r.Tuples[i] = out[i]
 		u.WriteBytes(r.Addr+int64(i)*tuple.Size, tuple.Size)
 	}
-	r.MarkMutated() // direct writes bypassed the engine's mutators
 	return nil
 }
 
@@ -265,25 +201,9 @@ func mergePass(u *engine.Unit, cm CostModel, src, dst *engine.Region, runLen, fa
 	// pending appends right before each refill-triggering pop preserves
 	// the exact DRAM access order of the per-tuple loop. (Cache-backed
 	// units issue a demand read per pop, so their appends cannot batch.)
-	// Columnar runs reach a zero-allocation steady state: the pending
-	// buffer comes from the unit's arena, the per-group views and
-	// readers from its reusable stream group, and the head-cache arrays
-	// from the stack (fan-ins beyond the buffer fall back to slices).
-	colsMode := u.Columnar()
 	var pending []tuple.Tuple
 	var keys []tuple.Key // cached stream heads; scanned instead of re-Peeking
 	var live []bool
-	var keysBuf [16]tuple.Key
-	var liveBuf [16]bool
-	var sg *engine.StreamGroup
-	if colsMode {
-		pending = u.Arena().Tuples(n)
-		defer func() { u.Arena().PutTuples(pending) }()
-		if fanIn <= len(keysBuf) {
-			keys, live = keysBuf[:0], liveBuf[:0]
-		}
-		sg = u.StreamGroup()
-	}
 	flush := func() {
 		if len(pending) == 0 {
 			return
@@ -293,37 +213,19 @@ func mergePass(u *engine.Unit, cm CostModel, src, dst *engine.Region, runLen, fa
 		pending = pending[:0]
 	}
 	for groupStart := 0; groupStart < n; groupStart += runLen * fanIn {
-		var readers []*engine.StreamReader
-		var err error
-		if colsMode {
-			sg.Reset()
-			for r := 0; r < fanIn; r++ {
-				s := groupStart + r*runLen
-				if s >= n {
-					break
-				}
-				e := s + runLen
-				if e > n {
-					e = n
-				}
-				sg.AddView(src, s, e)
+		views := make([]*engine.Region, 0, fanIn)
+		for r := 0; r < fanIn; r++ {
+			s := groupStart + r*runLen
+			if s >= n {
+				break
 			}
-			readers, err = sg.Open()
-		} else {
-			views := make([]*engine.Region, 0, fanIn)
-			for r := 0; r < fanIn; r++ {
-				s := groupStart + r*runLen
-				if s >= n {
-					break
-				}
-				e := s + runLen
-				if e > n {
-					e = n
-				}
-				views = append(views, src.View(s, e))
+			e := s + runLen
+			if e > n {
+				e = n
 			}
-			readers, err = u.OpenStreams(views...)
+			views = append(views, src.View(s, e))
 		}
+		readers, err := u.OpenStreams(views...)
 		if err != nil {
 			return err
 		}

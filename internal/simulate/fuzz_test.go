@@ -13,15 +13,14 @@ import (
 // RTuples=0, GroupSize=0, VaultCapBytes=0), a silently-accepted non-pow2
 // KeySpace, and the Zipf exponents s ≤ 1 that panicked workload generation
 // before Zipf grew an error contract. The mutated space also spans the
-// skew-aware execution path (SkewAware × ZipfS) and the columnar host
-// kernels (Columnar, including the NoBulk interaction that disables
-// them), so the detector, provisioning, splitting, stealing and
-// structure-of-arrays layers all sit under the no-crash guarantee.
+// skew-aware execution path (SkewAware × ZipfS), so the detector,
+// provisioning, splitting and stealing layers all sit under the
+// no-crash guarantee.
 //
 // The harness folds raw fuzz values into bounded magnitudes — preserving
 // sign, zero and non-pow2 structure so every rejection path stays
 // reachable — because the guarantee excludes host-resource exhaustion:
-// Validate's job is typed rejection, not making a others-of-terabytes run
+// Validate's job is typed rejection, not making a tens-of-terabytes run
 // affordable.
 func FuzzRunNoPanic(f *testing.F) {
 	// One seed per formerly-crashing probe, on the system/operator that
@@ -33,37 +32,37 @@ func FuzzRunNoPanic(f *testing.F) {
 		vaultCap                                     int64
 		cpuBuckets, par                              int
 		seed                                         int64
-		noBulk, skewAware, columnar                  bool
+		noBulk, skewAware                            bool
 		zipfS                                        float64
 	}
 	seeds := []seed{
-		{int(Mondrian), int(OpScan), 1, 4, -5, 1 << 10, 4, 1 << 20, 16 << 20, 0, 1, 42, false, false, false, 0},         // -s-tuples -5
-		{int(Mondrian), int(OpJoin), 1, 4, 1 << 11, 0, 4, 1 << 20, 16 << 20, 0, 1, 42, false, false, false, 0},          // join -r-tuples 0
-		{int(Mondrian), int(OpGroupBy), 1, 4, 1 << 11, 1 << 10, 0, 1 << 20, 16 << 20, 0, 1, 42, false, false, false, 0}, // GroupSize=0
-		{int(Mondrian), int(OpScan), 1, 4, 1 << 11, 1 << 10, 4, 1 << 20, 0, 0, 1, 42, false, false, false, 0},           // VaultCapBytes=0
-		{int(NMP), int(OpSort), 1, 4, 1 << 11, 1 << 10, 4, 3 << 10, 16 << 20, 0, 1, 42, false, false, false, 0},         // non-pow2 KeySpace
-		{int(CPU), int(OpJoin), 1, 4, 1 << 11, 1 << 10, 4, 1 << 20, 16 << 20, 1 << 8, 1, 42, false, false, true, 0},
-		{int(NMPPerm), int(OpGroupBy), 1, 4, 1 << 11, 1 << 10, 4, 1 << 20, 16 << 20, 0, 2, 7, true, false, false, 0},
-		{int(NMPRand), int(OpScan), 2, 4, 1 << 10, 1 << 9, 4, 1 << 18, 8 << 20, 0, 0, 3, false, false, false, 0},
-		{int(NMPSeq), int(OpSort), 1, 1, 1 << 10, 1 << 9, 4, 1 << 18, 8 << 20, 0, 1, 9, false, false, true, 0},
-		{int(MondrianNoPerm), int(OpJoin), 1, 4, 1 << 11, 1 << 10, 4, 1 << 20, 16 << 20, 0, 3, 11, false, false, false, 0},
+		{int(Mondrian), int(OpScan), 1, 4, -5, 1 << 10, 4, 1 << 20, 16 << 20, 0, 1, 42, false, false, 0},         // -s-tuples -5
+		{int(Mondrian), int(OpJoin), 1, 4, 1 << 11, 0, 4, 1 << 20, 16 << 20, 0, 1, 42, false, false, 0},          // join -r-tuples 0
+		{int(Mondrian), int(OpGroupBy), 1, 4, 1 << 11, 1 << 10, 0, 1 << 20, 16 << 20, 0, 1, 42, false, false, 0}, // GroupSize=0
+		{int(Mondrian), int(OpScan), 1, 4, 1 << 11, 1 << 10, 4, 1 << 20, 0, 0, 1, 42, false, false, 0},           // VaultCapBytes=0
+		{int(NMP), int(OpSort), 1, 4, 1 << 11, 1 << 10, 4, 3 << 10, 16 << 20, 0, 1, 42, false, false, 0},         // non-pow2 KeySpace
+		{int(CPU), int(OpJoin), 1, 4, 1 << 11, 1 << 10, 4, 1 << 20, 16 << 20, 1 << 8, 1, 42, false, false, 0},
+		{int(NMPPerm), int(OpGroupBy), 1, 4, 1 << 11, 1 << 10, 4, 1 << 20, 16 << 20, 0, 2, 7, true, false, 0},
+		{int(NMPRand), int(OpScan), 2, 4, 1 << 10, 1 << 9, 4, 1 << 18, 8 << 20, 0, 0, 3, false, false, 0},
+		{int(NMPSeq), int(OpSort), 1, 1, 1 << 10, 1 << 9, 4, 1 << 18, 8 << 20, 0, 1, 9, false, false, 0},
+		{int(MondrianNoPerm), int(OpJoin), 1, 4, 1 << 11, 1 << 10, 4, 1 << 20, 16 << 20, 0, 3, 11, false, false, 0},
 		// The formerly-panicking Zipf exponents (s ≤ 1 crashed workload
 		// generation before validation rejected them) and live skew shapes.
-		{int(Mondrian), int(OpSort), 1, 4, 1 << 11, 1 << 10, 4, 1 << 20, 16 << 20, 0, 1, 42, false, false, false, 1.0},
-		{int(Mondrian), int(OpGroupBy), 1, 4, 1 << 11, 1 << 10, 4, 1 << 20, 16 << 20, 0, 1, 42, false, true, false, 0.5},
-		{int(Mondrian), int(OpGroupBy), 1, 4, 1 << 12, 1 << 10, 4, 1 << 20, 16 << 20, 0, 1, 42, false, true, true, 2.0},
-		{int(CPU), int(OpJoin), 1, 4, 1 << 12, 1 << 10, 4, 1 << 20, 16 << 20, 1 << 8, 2, 42, false, true, false, 1.5},
-		{int(NMPSeq), int(OpSort), 1, 4, 1 << 11, 1 << 10, 4, 1 << 20, 16 << 20, 0, 4, 9, true, true, true, 1.1},
+		{int(Mondrian), int(OpSort), 1, 4, 1 << 11, 1 << 10, 4, 1 << 20, 16 << 20, 0, 1, 42, false, false, 1.0},
+		{int(Mondrian), int(OpGroupBy), 1, 4, 1 << 11, 1 << 10, 4, 1 << 20, 16 << 20, 0, 1, 42, false, true, 0.5},
+		{int(Mondrian), int(OpGroupBy), 1, 4, 1 << 12, 1 << 10, 4, 1 << 20, 16 << 20, 0, 1, 42, false, true, 2.0},
+		{int(CPU), int(OpJoin), 1, 4, 1 << 12, 1 << 10, 4, 1 << 20, 16 << 20, 1 << 8, 2, 42, false, true, 1.5},
+		{int(NMPSeq), int(OpSort), 1, 4, 1 << 11, 1 << 10, 4, 1 << 20, 16 << 20, 0, 4, 9, true, true, 1.1},
 	}
 	for _, s := range seeds {
 		f.Add(s.sys, s.op, s.cubes, s.vaultsPer, s.sTup, s.rTup, s.group,
 			s.keySpace, s.vaultCap, s.cpuBuckets, s.par, s.seed, s.noBulk,
-			s.skewAware, s.columnar, s.zipfS)
+			s.skewAware, s.zipfS)
 	}
 
 	f.Fuzz(func(t *testing.T, sysRaw, opRaw, cubes, vaultsPer, sTup, rTup, group int,
 		keySpace uint64, vaultCap int64, cpuBuckets, par int, seed int64, noBulk bool,
-		skewAware, columnar bool, zipfS float64) {
+		skewAware bool, zipfS float64) {
 		p := TestParams()
 		// Bound magnitudes so accepted inputs stay affordable; Go's %
 		// keeps the sign, so negative and zero garbage still reaches the
@@ -81,7 +80,6 @@ func FuzzRunNoPanic(f *testing.F) {
 		p.Seed = seed
 		p.NoBulk = noBulk
 		p.SkewAware = skewAware
-		p.Columnar = columnar
 		// ZipfS passes through raw: NaN/Inf/s ≤ 1 must reach the typed
 		// rejection, and any accepted s > 1 is affordable at the bounded
 		// tuple counts. Huge exponents just degenerate to one hot key.

@@ -3,6 +3,7 @@ package simulate
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -186,8 +187,8 @@ func TestProtectConvertsPanics(t *testing.T) {
 	}
 }
 
-// TestEnvOverrideWarnings checks that garbage MONDRIAN_PARALLELISM /
-// MONDRIAN_NO_BULK values produce a one-line warning naming the variable
+// TestEnvOverrideWarnings checks that garbage MONDRIAN_PARALLELISM and
+// boolean-override values produce a one-line warning naming the variable
 // and value instead of being silently mapped.
 func TestEnvOverrideWarnings(t *testing.T) {
 	var buf bytes.Buffer
@@ -217,25 +218,41 @@ func TestEnvOverrideWarnings(t *testing.T) {
 		}
 	}
 
-	buf.Reset()
-	for _, tc := range []struct {
-		val      string
-		want     bool
-		wantWarn bool
+	// The boolean overrides share one reader; each is read through
+	// DefaultParams so the variable name, the Params field and the
+	// warning's "treating as set" meaning are pinned together.
+	vars := []struct {
+		name, meaning string
+		field         func(Params) bool
 	}{
-		{"1", true, false}, {"0", false, false}, {"true", true, false},
-		{"false", false, false}, {"abc", true, true},
-	} {
-		buf.Reset()
-		t.Setenv("MONDRIAN_NO_BULK", tc.val)
-		if got := envNoBulk(); got != tc.want {
-			t.Fatalf("envNoBulk(%q) = %v, want %v", tc.val, got, tc.want)
+		{"MONDRIAN_NO_BULK", "bulk fast path disabled", func(p Params) bool { return p.NoBulk }},
+		{"MONDRIAN_SKEW_AWARE", "skew-aware execution enabled", func(p Params) bool { return p.SkewAware }},
+		{"MONDRIAN_NO_POOL", "engine pooling disabled", func(p Params) bool { return p.NoPool }},
+	}
+	for _, ev := range vars {
+		for _, other := range vars {
+			t.Setenv(other.name, "")
 		}
-		if warned := buf.Len() > 0; warned != tc.wantWarn {
-			t.Fatalf("envNoBulk(%q) warned=%v, want %v (%q)", tc.val, warned, tc.wantWarn, buf.String())
-		}
-		if tc.wantWarn && !strings.Contains(buf.String(), "MONDRIAN_NO_BULK") {
-			t.Fatalf("warning %q does not name the variable", buf.String())
+		for _, tc := range []struct {
+			val      string
+			want     bool
+			wantWarn bool
+		}{
+			{"", false, false}, {"1", true, false}, {"0", false, false},
+			{"true", true, false}, {"false", false, false}, {"abc", true, true},
+		} {
+			buf.Reset()
+			t.Setenv(ev.name, tc.val)
+			if got := ev.field(DefaultParams()); got != tc.want {
+				t.Fatalf("%s=%q: got %v, want %v", ev.name, tc.val, got, tc.want)
+			}
+			if warned := buf.Len() > 0; warned != tc.wantWarn {
+				t.Fatalf("%s=%q warned=%v, want %v (%q)", ev.name, tc.val, warned, tc.wantWarn, buf.String())
+			}
+			want := fmt.Sprintf("mondrian: %s=%q is not a boolean; treating as set (%s)\n", ev.name, tc.val, ev.meaning)
+			if tc.wantWarn && buf.String() != want {
+				t.Fatalf("warning %q, want %q", buf.String(), want)
+			}
 		}
 	}
 }

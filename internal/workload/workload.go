@@ -49,29 +49,6 @@ func Uniform(name string, c Config) *tuple.Relation {
 	return r
 }
 
-// UniformColumns generates the same dataset as Uniform directly into a
-// columnar (structure-of-arrays) layout: the key and value sequences are
-// identical to Uniform's at the same Config, so a relation materialized
-// from the returned columns is tuple-for-tuple equal to Uniform's. dst
-// is reset and reused when non-nil (zero-alloc regeneration); pass nil
-// to allocate fresh columns.
-func UniformColumns(dst *tuple.Columns, c Config) *tuple.Columns {
-	if dst == nil {
-		dst = &tuple.Columns{}
-	}
-	dst.Reset()
-	rng := rand.New(rand.NewSource(c.Seed))
-	ks := c.keySpace()
-	for i := 0; i < c.Tuples; i++ {
-		// Same draw order as Uniform: key first, then payload.
-		k := tuple.Key(rng.Uint64() % ks)
-		v := tuple.Value(rng.Uint64())
-		dst.Keys = append(dst.Keys, k)
-		dst.Vals = append(dst.Vals, v)
-	}
-	return dst
-}
-
 // FKPair generates a primary-key relation R and a foreign-key relation S
 // with |S| = c.Tuples and |R| = rTuples. Keys of R are a random permutation
 // of [0, rTuples), hence unique; each S tuple references a uniformly chosen
