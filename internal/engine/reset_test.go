@@ -79,6 +79,56 @@ func TestResetRestoresPristineState(t *testing.T) {
 	}
 }
 
+// TestResetRetainsScratchCapacity: Reset keeps the host-side scratch —
+// the per-unit trace buffers and the CPU's LLC stage ring — so a pooled
+// re-run reuses it instead of growing it again.
+func TestResetRetainsScratchCapacity(t *testing.T) {
+	const n = 1024
+	e := mustEngine(t, mondrianConfig())
+	u := e.Units()[0]
+	sweep := func(r *Region) {
+		e.beginTraceBuffer()
+		sweepUnit(u, r, n)
+		e.flushTraceBuffer()
+	}
+	e.SetTracer(&nullTracer{})
+	r, err := e.Place(0, make([]tuple.Tuple, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep(r) // grow the trace buffer once
+	grown := cap(u.traceBuf)
+	if grown == 0 {
+		t.Fatal("buffered sweep did not grow the trace buffer")
+	}
+
+	e.Reset()
+	if got := cap(u.traceBuf); got != grown {
+		t.Fatalf("Reset changed the trace buffer capacity: %d, want %d", got, grown)
+	}
+	// Pooled re-run steady state: after Reset, buffered tracing stays
+	// allocation-free on the retained capacity.
+	e.SetTracer(&nullTracer{})
+	r2, err := e.Place(0, make([]tuple.Tuple, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { sweep(r2) }); allocs != 0 {
+		t.Errorf("buffered sweep allocates %.1f times after Reset", allocs)
+	}
+
+	cpu := mustEngine(t, cpuConfig())
+	workout(t, cpu)
+	q := cpu.llcq
+	if q == nil {
+		t.Fatal("a CPU step did not build the LLC stage")
+	}
+	cpu.Reset()
+	if cpu.llcq != q {
+		t.Fatal("Reset replaced the LLC stage ring")
+	}
+}
+
 func TestPoolReuseAndKeying(t *testing.T) {
 	p := NewPool(2)
 	cfg := mondrianConfig()

@@ -94,3 +94,26 @@ func TestBulkMatchesReferenceTiming(t *testing.T) {
 		}
 	}
 }
+
+// TestQuicksortKernelSteadyStateZeroAlloc pins the bulk quicksort kernel,
+// which runs once per bucket: a full operator run necessarily allocates
+// (fresh output regions, result structs, goroutine fan-out), but after
+// one warm-up call every further call on the same bucket performs zero
+// heap allocations.
+func TestQuicksortKernelSteadyStateZeroAlloc(t *testing.T) {
+	rel := workload.Uniform("in", workload.Config{Seed: 23, Tuples: 4000, KeySpace: 1 << 16})
+	e := newEngine(t, testVariants()[0].cfg) // CPU
+	r, err := e.Place(0, rel.Tuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := unitForBucket(e, 0)
+	cm := DefaultCosts()
+	e.BeginStep(engine.StepProfile{Name: "sort"})
+	defer e.EndStep()
+	kernel := func() { quicksortLocal(u, cm, r) }
+	kernel()
+	if allocs := testing.AllocsPerRun(20, kernel); allocs != 0 {
+		t.Fatalf("quicksort kernel steady state allocates %v times per run", allocs)
+	}
+}
