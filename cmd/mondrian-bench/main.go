@@ -102,11 +102,7 @@ func main() {
 	}
 
 	if *manOut != "" {
-		write := writeManifests
-		if *plans {
-			write = writePlanManifests
-		}
-		if err := write(*manOut, p); err != nil {
+		if err := writeManifests(*manOut, p, *plans); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -171,66 +167,66 @@ func main() {
 	fmt.Println()
 }
 
-// writeManifests runs the full system × operator matrix with metrics
-// enabled and appends one compact JSON manifest per run to path — the
-// machine-readable benchmark artifact (make bench emits BENCH_PR5.json
-// this way). Each run gets a fresh registry so counters never bleed
-// across experiments.
-func writeManifests(path string, p simulate.Params) error {
+// writeManifests runs the full system × operator matrix — or, with
+// plans, the system × plan matrix with each shape fused then staged —
+// with metrics enabled and appends one compact JSON manifest per run to
+// path: the machine-readable benchmark artifact (make bench emits
+// BENCH_PR5.json and BENCH_PR8.json this way). The staged plan runs give
+// the baseline the fused runs' exchange-byte and runtime savings are
+// measured against. Each run gets a fresh registry so counters never
+// bleed across experiments.
+func writeManifests(path string, p simulate.Params, plans bool) error {
+	// A cell runs one experiment and returns whether its output verified,
+	// plus its manifest builder.
+	type cell struct {
+		name   string
+		staged bool
+		run    func(simulate.System, simulate.Params) (bool, func() *obs.Manifest, error)
+	}
+	var cells []cell
+	if plans {
+		for _, pl := range simulate.Plans() {
+			for _, staged := range []bool{false, true} {
+				cells = append(cells, cell{pl.String(), staged, func(s simulate.System, p simulate.Params) (bool, func() *obs.Manifest, error) {
+					res, err := simulate.RunPlan(s, pl, p)
+					if err != nil {
+						return false, nil, err
+					}
+					return res.Verified, func() *obs.Manifest { return simulate.BuildPlanManifest(res, p, false) }, nil
+				}})
+			}
+		}
+	} else {
+		for _, op := range simulate.Operators() {
+			cells = append(cells, cell{op.String(), false, func(s simulate.System, p simulate.Params) (bool, func() *obs.Manifest, error) {
+				res, err := simulate.Run(s, op, p)
+				if err != nil {
+					return false, nil, err
+				}
+				return res.Verified, func() *obs.Manifest { return simulate.BuildManifest(res, p, false) }, nil
+			}})
+		}
+	}
 	return cliio.AppendFile(path, func(w io.Writer) error {
 		for _, s := range simulate.Systems() {
-			for _, op := range simulate.Operators() {
+			for _, c := range cells {
 				p := p
+				p.NoFusion = c.staged
 				p.Obs = obs.NewRegistry()
 				start := time.Now()
-				res, err := simulate.Run(s, op, p)
+				verified, manifest, err := c.run(s, p)
 				wall := time.Since(start)
 				if err != nil {
-					return fmt.Errorf("%v/%v: %w", s, op, err)
+					return fmt.Errorf("%v/%v: %w", s, c.name, err)
 				}
-				if !res.Verified {
-					return fmt.Errorf("%v/%v: output verification failed", s, op)
+				if !verified {
+					return fmt.Errorf("%v/%v: output verification failed", s, c.name)
 				}
-				m := simulate.BuildManifest(res, p, false)
+				m := manifest()
 				m.Host.WallNs = wall.Nanoseconds()
 				m.Host.Timestamp = start.UTC().Format(time.RFC3339)
 				if err := m.WriteJSONLine(w); err != nil {
 					return err
-				}
-			}
-		}
-		return nil
-	})
-}
-
-// writePlanManifests runs the system × plan matrix — each shape in fused
-// and staged mode — with metrics enabled and appends one compact JSON
-// manifest per run to path (make bench emits BENCH_PR8.json this way).
-// The staged runs give the baseline the fused runs' exchange-byte and
-// runtime savings are measured against.
-func writePlanManifests(path string, p simulate.Params) error {
-	return cliio.AppendFile(path, func(w io.Writer) error {
-		for _, s := range simulate.Systems() {
-			for _, pl := range simulate.Plans() {
-				for _, staged := range []bool{false, true} {
-					p := p
-					p.NoFusion = staged
-					p.Obs = obs.NewRegistry()
-					start := time.Now()
-					res, err := simulate.RunPlan(s, pl, p)
-					wall := time.Since(start)
-					if err != nil {
-						return fmt.Errorf("%v/%v: %w", s, pl, err)
-					}
-					if !res.Verified {
-						return fmt.Errorf("%v/%v: output verification failed", s, pl)
-					}
-					m := simulate.BuildPlanManifest(res, p, false)
-					m.Host.WallNs = wall.Nanoseconds()
-					m.Host.Timestamp = start.UTC().Format(time.RFC3339)
-					if err := m.WriteJSONLine(w); err != nil {
-						return err
-					}
 				}
 			}
 		}

@@ -21,6 +21,9 @@ import (
 	"time"
 
 	"github.com/ecocloud-go/mondrian/internal/cliio"
+	"github.com/ecocloud-go/mondrian/internal/dram"
+	"github.com/ecocloud-go/mondrian/internal/energy"
+	"github.com/ecocloud-go/mondrian/internal/engine"
 	"github.com/ecocloud-go/mondrian/internal/noc"
 	"github.com/ecocloud-go/mondrian/internal/obs"
 	"github.com/ecocloud-go/mondrian/internal/simulate"
@@ -116,14 +119,12 @@ func run() error {
 	// -op selects a single operator or, when the name matches a registered
 	// query shape, a compiled multi-operator plan.
 	op, opErr := simulate.ParseOperator(*opName)
-	var pl simulate.Plan
-	isPlan := false
-	if opErr != nil {
-		if pl, err = simulate.ParsePlan(*opName); err != nil {
-			return opErr
-		}
-		isPlan = true
+	pl, plErr := simulate.ParsePlan(*opName)
+	if opErr != nil && plErr != nil {
+		return fmt.Errorf("unknown operator or plan %q (want an operator: %s; or a plan: %s)",
+			*opName, strings.Join(simulate.OperatorNames(), ", "), strings.Join(simulate.PlanNames(), ", "))
 	}
+	isPlan := opErr != nil
 	if *topo != "" || *l1Bytes != 0 || *streamBufs != 0 {
 		if sys, err = customize(sys, *topo, *l1Bytes, *streamBufs); err != nil {
 			return err
@@ -151,51 +152,48 @@ func run() error {
 	if observing {
 		p.Obs = obs.NewRegistry()
 	}
-	if isPlan {
-		wall, err := runPlan(sys, pl, p, *steps, *spans, *metricsOut, *promOut, *chromeOut)
-		if err != nil {
-			return err
+	// exec runs the selected operator or plan once; only the header table
+	// differs between the two kinds.
+	exec := func(p simulate.Params) (*outcome, error) {
+		if isPlan {
+			res, err := simulate.RunPlan(sys, pl, p)
+			if err != nil {
+				return nil, err
+			}
+			return &outcome{
+				table:    func(w io.Writer) { planTable(w, res, p.NoFusion) },
+				steps:    res.Steps,
+				spans:    res.Spans,
+				manifest: func() *obs.Manifest { return simulate.BuildPlanManifest(res, p, *spans) },
+			}, nil
 		}
-		return repeatReport(*repeat, wall, func() (time.Duration, error) {
-			rp := p
-			rp.Obs = nil
-			t0 := time.Now()
-			_, err := simulate.RunPlan(sys, pl, rp)
-			return time.Since(t0), err
-		})
+		res, err := simulate.Run(sys, op, p)
+		if err != nil {
+			return nil, err
+		}
+		return &outcome{
+			table:    func(w io.Writer) { operatorTable(w, res) },
+			steps:    res.Steps,
+			spans:    res.Spans,
+			manifest: func() *obs.Manifest { return simulate.BuildManifest(res, p, *spans) },
+		}, nil
 	}
 	start := time.Now()
-	res, err := simulate.Run(sys, op, p)
+	res, err := exec(p)
 	wall := time.Since(start)
 	if err != nil {
 		return err
 	}
 
 	w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "system\t%v\n", res.System)
-	fmt.Fprintf(w, "operator\t%v\n", res.Operator)
-	fmt.Fprintf(w, "verified\t%v\n", res.Verified)
-	fmt.Fprintf(w, "partition\t%.3f ms\n", res.PartitionNs/1e6)
-	fmt.Fprintf(w, "probe\t%.3f ms\n", res.ProbeNs/1e6)
-	fmt.Fprintf(w, "total\t%.3f ms\n", res.TotalNs/1e6)
-	if res.DistBWPerVaultGBs > 0 {
-		fmt.Fprintf(w, "distribution BW\t%.2f GB/s per vault\n", res.DistBWPerVaultGBs)
-	}
-	if res.ProbeBWPerVaultGBs > 0 {
-		fmt.Fprintf(w, "probe BW\t%.2f GB/s per vault\n", res.ProbeBWPerVaultGBs)
-	}
-	fmt.Fprintf(w, "DRAM accesses\t%d (%.1f%% row hits)\n",
-		res.DRAM.Accesses(), res.DRAM.RowHitRate()*100)
-	fmt.Fprintf(w, "row activations\t%d\n", res.DRAM.Activations)
-	fmt.Fprintf(w, "bytes moved\t%d\n", res.DRAM.TotalBytes())
-	fmt.Fprintf(w, "energy\t%s\n", res.Energy)
+	res.table(w)
 	if err := w.Flush(); err != nil {
 		return err
 	}
 
 	if *steps {
 		fmt.Println("\nstep timeline:")
-		for i, st := range res.Steps {
+		for i, st := range res.steps {
 			if st.Ns == 0 {
 				continue
 			}
@@ -208,18 +206,18 @@ func run() error {
 		rp := p
 		rp.Obs = nil
 		t0 := time.Now()
-		_, err := simulate.Run(sys, op, rp)
+		_, err := exec(rp)
 		return time.Since(t0), err
 	}
 	if !observing {
 		return repeatReport(*repeat, wall, rerun)
 	}
-	m := simulate.BuildManifest(res, p, *spans)
+	m := res.manifest()
 	m.Host.WallNs = wall.Nanoseconds()
 	m.Host.Timestamp = start.UTC().Format(time.RFC3339)
 	if *spans {
 		fmt.Println("\nspan tree (simulated time):")
-		if err := res.Spans.WriteTree(os.Stdout, 2); err != nil {
+		if err := res.spans.WriteTree(os.Stdout, 2); err != nil {
 			return err
 		}
 	}
@@ -239,12 +237,73 @@ func run() error {
 	}
 	if *chromeOut != "" {
 		if err := cliio.WriteFile(*chromeOut, func(w io.Writer) error {
-			return obs.WriteChromeTrace(w, res.Spans)
+			return obs.WriteChromeTrace(w, res.spans)
 		}); err != nil {
 			return err
 		}
 	}
 	return repeatReport(*repeat, wall, rerun)
+}
+
+// outcome is one run of either kind, as the shared report reads it: the
+// kind's header table, the step timeline, the span tree and the run
+// manifest.
+type outcome struct {
+	table    func(w io.Writer)
+	steps    []engine.StepTiming
+	spans    *obs.Span
+	manifest func() *obs.Manifest
+}
+
+// operatorTable writes a single operator's header table.
+func operatorTable(w io.Writer, res *simulate.Result) {
+	fmt.Fprintf(w, "system\t%v\n", res.System)
+	fmt.Fprintf(w, "operator\t%v\n", res.Operator)
+	fmt.Fprintf(w, "verified\t%v\n", res.Verified)
+	fmt.Fprintf(w, "partition\t%.3f ms\n", res.PartitionNs/1e6)
+	fmt.Fprintf(w, "probe\t%.3f ms\n", res.ProbeNs/1e6)
+	fmt.Fprintf(w, "total\t%.3f ms\n", res.TotalNs/1e6)
+	if res.DistBWPerVaultGBs > 0 {
+		fmt.Fprintf(w, "distribution BW\t%.2f GB/s per vault\n", res.DistBWPerVaultGBs)
+	}
+	if res.ProbeBWPerVaultGBs > 0 {
+		fmt.Fprintf(w, "probe BW\t%.2f GB/s per vault\n", res.ProbeBWPerVaultGBs)
+	}
+	costRows(w, res.DRAM, res.Energy)
+}
+
+// planTable writes a compiled plan's header table: its fusion mode and
+// per-stage breakdown.
+func planTable(w io.Writer, res *simulate.PlanResult, staged bool) {
+	fmt.Fprintf(w, "system\t%v\n", res.System)
+	fmt.Fprintf(w, "plan\t%v\n", res.Plan)
+	if staged {
+		fmt.Fprintf(w, "mode\tstaged (fusion disabled)\n")
+	} else {
+		noun := "re-shuffles"
+		if res.Elisions == 1 {
+			noun = "re-shuffle"
+		}
+		fmt.Fprintf(w, "mode\tfused (%d %s elided)\n", res.Elisions, noun)
+	}
+	fmt.Fprintf(w, "verified\t%v\n", res.Verified)
+	for _, st := range res.Stages {
+		mark := ""
+		if st.Fused {
+			mark = "  [fused]"
+		}
+		fmt.Fprintf(w, "stage %s\t%.3f ms  (%d tuples out)%s\n", st.Name, st.Ns/1e6, st.Tuples, mark)
+	}
+	fmt.Fprintf(w, "total\t%.3f ms\n", res.TotalNs/1e6)
+	costRows(w, res.DRAM, res.Energy)
+}
+
+// costRows writes the DRAM and energy rows both header tables end with.
+func costRows(w io.Writer, d dram.Stats, e energy.Breakdown) {
+	fmt.Fprintf(w, "DRAM accesses\t%d (%.1f%% row hits)\n", d.Accesses(), d.RowHitRate()*100)
+	fmt.Fprintf(w, "row activations\t%d\n", d.Activations)
+	fmt.Fprintf(w, "bytes moved\t%d\n", d.TotalBytes())
+	fmt.Fprintf(w, "energy\t%s\n", e)
 }
 
 // repeatReport re-runs the request n-1 more times and prints the pooled
@@ -276,92 +335,4 @@ func repeatReport(n int, first time.Duration, rerun func() (time.Duration, error
 	fmt.Printf("construction overhead: %.3f ms once, %.3f ms amortized per run (engine pool: %d hits, %d misses)\n",
 		float64(over.Nanoseconds())/1e6, float64(over.Nanoseconds())/1e6/float64(n), st.Hits, st.Misses)
 	return nil
-}
-
-// runPlan executes a compiled query plan and prints the per-stage
-// report, returning the first run's host wall time.
-func runPlan(sys simulate.System, pl simulate.Plan, p simulate.Params,
-	steps, spans bool, metricsOut, promOut, chromeOut string) (time.Duration, error) {
-	start := time.Now()
-	res, err := simulate.RunPlan(sys, pl, p)
-	wall := time.Since(start)
-	if err != nil {
-		return wall, err
-	}
-
-	w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "system\t%v\n", res.System)
-	fmt.Fprintf(w, "plan\t%v\n", res.Plan)
-	if p.NoFusion {
-		fmt.Fprintf(w, "mode\tstaged (fusion disabled)\n")
-	} else {
-		noun := "re-shuffles"
-		if res.Elisions == 1 {
-			noun = "re-shuffle"
-		}
-		fmt.Fprintf(w, "mode\tfused (%d %s elided)\n", res.Elisions, noun)
-	}
-	fmt.Fprintf(w, "verified\t%v\n", res.Verified)
-	for _, st := range res.Stages {
-		mark := ""
-		if st.Fused {
-			mark = "  [fused]"
-		}
-		fmt.Fprintf(w, "stage %s\t%.3f ms  (%d tuples out)%s\n", st.Name, st.Ns/1e6, st.Tuples, mark)
-	}
-	fmt.Fprintf(w, "total\t%.3f ms\n", res.TotalNs/1e6)
-	fmt.Fprintf(w, "DRAM accesses\t%d (%.1f%% row hits)\n",
-		res.DRAM.Accesses(), res.DRAM.RowHitRate()*100)
-	fmt.Fprintf(w, "row activations\t%d\n", res.DRAM.Activations)
-	fmt.Fprintf(w, "bytes moved\t%d\n", res.DRAM.TotalBytes())
-	fmt.Fprintf(w, "energy\t%s\n", res.Energy)
-	if err := w.Flush(); err != nil {
-		return wall, err
-	}
-
-	if steps {
-		fmt.Println("\nstep timeline:")
-		for i, st := range res.Steps {
-			if st.Ns == 0 {
-				continue
-			}
-			fmt.Printf("  %2d %-32s %10.1f µs  (compute %.1f µs, mem %.1f µs, net %.1f µs, IPC %.2f)\n",
-				i, st.Name, st.Ns/1e3, st.MaxUnitNs/1e3, st.MemNs/1e3, st.NetNs/1e3, st.AggIPC)
-		}
-	}
-
-	if p.Obs == nil {
-		return wall, nil
-	}
-	m := simulate.BuildPlanManifest(res, p, spans)
-	m.Host.WallNs = wall.Nanoseconds()
-	m.Host.Timestamp = start.UTC().Format(time.RFC3339)
-	if spans {
-		fmt.Println("\nspan tree (simulated time):")
-		if err := res.Spans.WriteTree(os.Stdout, 2); err != nil {
-			return wall, err
-		}
-	}
-	if metricsOut != "" {
-		if err := cliio.WriteFile(metricsOut, func(w io.Writer) error {
-			return m.WriteJSON(w)
-		}); err != nil {
-			return wall, err
-		}
-	}
-	if promOut != "" {
-		if err := cliio.WriteFile(promOut, func(w io.Writer) error {
-			return obs.WritePrometheus(w, p.Obs)
-		}); err != nil {
-			return wall, err
-		}
-	}
-	if chromeOut != "" {
-		if err := cliio.WriteFile(chromeOut, func(w io.Writer) error {
-			return obs.WriteChromeTrace(w, res.Spans)
-		}); err != nil {
-			return wall, err
-		}
-	}
-	return wall, nil
 }

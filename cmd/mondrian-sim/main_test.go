@@ -71,13 +71,19 @@ func TestCLIRejectsCrashReproducers(t *testing.T) {
 }
 
 // TestCLIRejectsUnknownSelectors covers the -system/-op spelling errors.
+// -op accepts operators and plans alike, so its diagnostic lists both.
 func TestCLIRejectsUnknownSelectors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the CLI")
 	}
 	bin := buildCLI(t)
 	assertCleanFailure(t, bin, "-system", "abacus")
-	assertCleanFailure(t, bin, "-op", "shuffleboard")
+	msg := assertCleanFailure(t, bin, "-op", "shuffleboard")
+	for _, want := range []string{"groupby", "join-agg-sort"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("-op diagnostic %q does not name %q", msg, want)
+		}
+	}
 	assertCleanFailure(t, bin, "-topology", "ring")
 	assertCleanFailure(t, bin, "-stream-buffers", "-2")
 	assertCleanFailure(t, bin, "-l1-bytes", "-1")

@@ -2,6 +2,7 @@ package simulate
 
 import (
 	"github.com/ecocloud-go/mondrian/internal/energy"
+	"github.com/ecocloud-go/mondrian/internal/engine"
 	"github.com/ecocloud-go/mondrian/internal/obs"
 )
 
@@ -62,18 +63,25 @@ func collectEnergy(reg *obs.Registry, b energy.Breakdown) {
 // WallNs is byte-identical across -parallelism settings; see
 // Manifest.Deterministic.
 func BuildManifest(res *Result, p Params, includeSpans bool) *obs.Manifest {
+	return buildManifest(res.System, res.Operator.String(), res.Verified, res.TotalNs, res.Phases, res.Spans, p, includeSpans)
+}
+
+// buildManifest is BuildManifest and BuildPlanManifest's one
+// implementation; the two differ only in the Operator string.
+func buildManifest(s System, operator string, verified bool, totalNs float64,
+	phases []engine.PhaseTiming, spans *obs.Span, p Params, includeSpans bool) *obs.Manifest {
 	m := &obs.Manifest{
 		Schema:           obs.ManifestSchema,
-		System:           res.System.String(),
-		Operator:         res.Operator.String(),
+		System:           s.String(),
+		Operator:         operator,
 		Params:           manifestParams(p),
-		Verified:         res.Verified,
-		SimulatedTotalNs: res.TotalNs,
+		Verified:         verified,
+		SimulatedTotalNs: totalNs,
 		Metrics:          p.Obs.Snapshot(),
 		Host:             obs.NewHostInfo(p.Parallelism),
 	}
 	m.Windows = obs.SummarizeHistograms(m.Metrics)
-	for _, ph := range res.Phases {
+	for _, ph := range phases {
 		m.Phases = append(m.Phases, obs.PhaseSummary{
 			Name:        ph.Name,
 			SimulatedNs: ph.SimulatedNs(),
@@ -81,7 +89,7 @@ func BuildManifest(res *Result, p Params, includeSpans bool) *obs.Manifest {
 		})
 	}
 	if includeSpans {
-		m.Spans = res.Spans
+		m.Spans = spans
 	}
 	return m
 }

@@ -41,7 +41,7 @@ const (
 	numPlans
 )
 
-// Plans lists every registered query shape — the RunAllPlans matrix.
+// Plans lists every registered query shape.
 func Plans() []Plan {
 	out := make([]Plan, numPlans)
 	for i := range out {
@@ -117,57 +117,15 @@ type PlanResult struct {
 	Spans  *obs.Span            `json:",omitempty"`
 }
 
-// validateSystemPlan range-checks the plan experiment selectors.
-func validateSystemPlan(s System, pl Plan) error {
-	if n := registeredSystems(); s < 0 || int(s) >= n {
-		return &ParamError{"System", int(s), fmt.Sprintf("want a registered system 0..%d", n-1)}
-	}
-	if pl < 0 || pl >= numPlans {
-		return &ParamError{"Plan", int(pl), fmt.Sprintf("want 0..%d", int(numPlans)-1)}
-	}
-	return nil
-}
-
 // RunPlan compiles and executes one query plan on one system and verifies
-// its output against the composed operator references. Like Run, it vets
-// every caller input first and executes under the recovery boundary.
+// its output against the composed operator references, through the
+// experiment harness (execute) that Run shares.
 func RunPlan(s System, pl Plan, p Params) (*PlanResult, error) {
-	if err := validateSystemPlan(s, pl); err != nil {
-		return nil, err
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	var res *PlanResult
-	err := Protect(fmt.Sprintf("%v/%v", s, pl), func() error {
-		var err error
-		res, err = runPlan(s, pl, p)
-		return err
-	})
+	res, err := execute(s, pl, p)
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
-}
-
-// joinInput generates the join relations: uniform foreign keys by default,
-// Zipf-distributed when Params.ZipfS is set.
-func joinInput(p Params) (rRel, sRel *tuple.Relation, err error) {
-	c := workload.Config{Seed: p.Seed, Tuples: p.STuples}
-	if p.ZipfS > 0 {
-		return workload.FKPairZipf(c, p.RTuples, p.ZipfS)
-	}
-	return workload.FKPair(c, p.RTuples)
-}
-
-// groupInput generates the aggregation input relation (see run's OpGroupBy
-// case for the Zipf rationale).
-func groupInput(p Params) (*tuple.Relation, error) {
-	c := workload.Config{Seed: p.Seed, Tuples: p.STuples, KeySpace: p.KeySpace}
-	if p.ZipfS > 0 {
-		return workload.Zipf("agg-in", c, p.ZipfS)
-	}
-	return workload.GroupBy(c, p.GroupSize)
+	return res.(*PlanResult), nil
 }
 
 // dimRelation builds the second star-schema dimension: keys [0, n) with a
@@ -181,22 +139,13 @@ func dimRelation(n int) *tuple.Relation {
 	return rel
 }
 
-// runPlan is the unguarded experiment body; RunPlan wraps it in validation
-// and the recovery boundary. Engine lifecycle matches run (run.go): pooled
-// acquire, release on non-panicking returns.
-func runPlan(s System, pl Plan, p Params) (*PlanResult, error) {
-	e, release, err := acquireEngine(p, s)
-	if err != nil {
-		return nil, err
-	}
-	res, err := runPlanOn(e, s, pl, p)
-	release()
-	return res, err
-}
+// selector implements experiment.
+func (pl Plan) selector() (string, int, int) { return "Plan", int(pl), int(numPlans) }
 
-// runPlanOn executes one compiled-plan experiment on the given pristine
-// engine.
-func runPlanOn(e *engine.Engine, s System, pl Plan, p Params) (*PlanResult, error) {
+// body implements experiment: it places the plan's base tables, compiles
+// and runs the plan, and checks its output against the composed operator
+// references.
+func (pl Plan) body(e *engine.Engine, s System, p Params) (report, error) {
 	opCfg := p.OperatorConfig(s)
 	res := &PlanResult{System: s, Plan: pl}
 
@@ -327,23 +276,18 @@ func runPlanOn(e *engine.Engine, s System, pl Plan, p Params) (*PlanResult, erro
 	if ordered && res.Verified {
 		res.Verified = verifyOrdered(r.Ordered, want)
 	}
-
-	res.TotalNs = e.TotalNs()
-	res.Energy = e.Energy(p.Energy)
-	res.DRAM = e.DRAMStats()
-	res.Steps = e.Steps()
-	if p.Obs != nil {
-		e.CollectObs(p.Obs)
-		collectEnergy(p.Obs, res.Energy)
-		res.Phases = e.Phases()
-		res.Spans = e.BuildSpans()
-	}
 	return res, nil
 }
 
+// record implements report.
+func (r *PlanResult) record(m measurement) {
+	r.TotalNs, r.Energy, r.DRAM = m.TotalNs, m.Energy, m.DRAM
+	r.Steps, r.Phases, r.Spans = m.Steps, m.Phases, m.Spans
+}
+
 // verifyOrdered checks bucket-local sortedness, global range order, and
-// multiset equality with the expected output (verifySorted for a plan's
-// sorted buckets).
+// multiset equality with the expected output, for a Sort's or a plan's
+// sorted buckets.
 func verifyOrdered(sorted []*engine.Region, want []tuple.Tuple) bool {
 	if sorted == nil {
 		return false
@@ -383,45 +327,5 @@ func planOperator(pl Plan, noFusion bool) string {
 // PlanResult produced with p.Obs set. Identical to BuildManifest except the
 // Operator field carries the plan spelling (see planOperator).
 func BuildPlanManifest(res *PlanResult, p Params, includeSpans bool) *obs.Manifest {
-	m := &obs.Manifest{
-		Schema:           obs.ManifestSchema,
-		System:           res.System.String(),
-		Operator:         planOperator(res.Plan, p.NoFusion),
-		Params:           manifestParams(p),
-		Verified:         res.Verified,
-		SimulatedTotalNs: res.TotalNs,
-		Metrics:          p.Obs.Snapshot(),
-		Host:             obs.NewHostInfo(p.Parallelism),
-	}
-	m.Windows = obs.SummarizeHistograms(m.Metrics)
-	for _, ph := range res.Phases {
-		m.Phases = append(m.Phases, obs.PhaseSummary{
-			Name:        ph.Name,
-			SimulatedNs: ph.SimulatedNs(),
-			WallNs:      ph.WallNs,
-		})
-	}
-	if includeSpans {
-		m.Spans = res.Spans
-	}
-	return m
-}
-
-// RunAllPlans executes the full system × plan matrix.
-func RunAllPlans(p Params) (map[System]map[Plan]*PlanResult, error) {
-	out := make(map[System]map[Plan]*PlanResult)
-	for _, s := range Systems() {
-		out[s] = make(map[Plan]*PlanResult)
-		for _, pl := range Plans() {
-			r, err := RunPlan(s, pl, p)
-			if err != nil {
-				return nil, fmt.Errorf("%v/%v: %w", s, pl, err)
-			}
-			if !r.Verified {
-				return nil, fmt.Errorf("%v/%v: output verification failed", s, pl)
-			}
-			out[s][pl] = r
-		}
-	}
-	return out, nil
+	return buildManifest(res.System, planOperator(res.Plan, p.NoFusion), res.Verified, res.TotalNs, res.Phases, res.Spans, p, includeSpans)
 }

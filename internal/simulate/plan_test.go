@@ -290,76 +290,3 @@ func TestParsePlan(t *testing.T) {
 		t.Errorf("ParsePlan accepted an unknown plan")
 	}
 }
-
-// FuzzRunPlanNoPanic extends the boundary's no-crash guarantee to plan
-// runs: for any Params in the mutated space, any System and any Plan,
-// RunPlan either returns a result or a typed error — never a panic. The
-// mutated space spans both fusion modes and the skew-aware path, so
-// fused probes on elided re-shuffles sit under the guarantee too.
-func FuzzRunPlanNoPanic(f *testing.F) {
-	type seed struct {
-		sys, pl, cubes, vaultsPer, sTup, rTup, group int
-		keySpace                                     uint64
-		vaultCap                                     int64
-		cpuBuckets, par                              int
-		seed                                         int64
-		noBulk, skewAware, noFusion                  bool
-		zipfS                                        float64
-	}
-	seeds := []seed{
-		{int(Mondrian), int(PlanJoinAgg), 1, 4, 1 << 11, 1 << 10, 4, 1 << 20, 16 << 20, 0, 1, 42, false, false, false, 0},
-		{int(NMP), int(PlanJoinAggSort), 1, 4, 1 << 11, 1 << 10, 4, 1 << 20, 16 << 20, 0, 2, 7, false, false, true, 0},
-		{int(CPU), int(PlanStarJoinAgg), 1, 4, 1 << 11, 1 << 10, 4, 1 << 20, 16 << 20, 1 << 8, 1, 42, false, false, false, 0},
-		{int(NMPSeq), int(PlanSortAgg), 1, 4, 1 << 11, 1 << 10, 4, 1 << 20, 16 << 20, 0, 4, 9, true, true, false, 1.5},
-		{int(Mondrian), int(PlanFilterSort), 1, 4, 1 << 11, 1 << 10, 4, 1 << 20, 16 << 20, 0, 1, 42, false, true, true, 1.1},
-		{int(Mondrian), int(PlanJoinAgg), 1, 4, -5, 0, 0, 3 << 10, 0, 0, 1, 42, false, false, false, 0.5},
-	}
-	for _, s := range seeds {
-		f.Add(s.sys, s.pl, s.cubes, s.vaultsPer, s.sTup, s.rTup, s.group,
-			s.keySpace, s.vaultCap, s.cpuBuckets, s.par, s.seed, s.noBulk,
-			s.skewAware, s.noFusion, s.zipfS)
-	}
-
-	f.Fuzz(func(t *testing.T, sysRaw, plRaw, cubes, vaultsPer, sTup, rTup, group int,
-		keySpace uint64, vaultCap int64, cpuBuckets, par int, seed int64, noBulk bool,
-		skewAware, noFusion bool, zipfS float64) {
-		p := TestParams()
-		p.Cubes = cubes % 4
-		p.VaultsPer = vaultsPer % 10
-		p.CPUCores = 2
-		p.STuples = sTup % (1 << 12)
-		p.RTuples = rTup % (1 << 11)
-		p.GroupSize = group % 64
-		p.KeySpace = keySpace % (1 << 26)
-		p.VaultCapBytes = vaultCap % (1 << 25)
-		p.CPUBuckets = cpuBuckets % (1 << 12)
-		p.Parallelism = par % 8
-		p.Seed = seed
-		p.NoBulk = noBulk
-		p.SkewAware = skewAware
-		p.NoFusion = noFusion
-		p.ZipfS = zipfS
-		sys := System(mod(sysRaw, int(numSystems)+2) - 1)
-		pl := Plan(mod(plRaw, int(numPlans)+2) - 1)
-
-		validated := validateSystemPlan(sys, pl) == nil && p.Validate() == nil
-		res, err := RunPlan(sys, pl, p)
-		if err != nil {
-			var ie *InternalError
-			if errors.As(err, &ie) {
-				t.Fatalf("internal invariant tripped (validated=%v) on %v/%v %+v: %v\n%s",
-					validated, sys, pl, p, ie, ie.StackTrace())
-			}
-			if validated && errors.As(err, new(*ParamError)) {
-				t.Fatalf("Validate accepted %+v but RunPlan rejected it: %v", p, err)
-			}
-			return // typed rejection or a clean runtime error (e.g. overflow)
-		}
-		if !validated {
-			t.Fatalf("RunPlan accepted input that Validate rejects: %v/%v %+v", sys, pl, p)
-		}
-		if res == nil {
-			t.Fatal("nil result without error")
-		}
-	})
-}

@@ -40,10 +40,11 @@ func TestResetEquivalence(t *testing.T) {
 						if round > 0 {
 							e.Reset()
 						}
-						r, err := runOn(e, s, op, p)
+						rep, err := runOn(e, s, op, p)
 						if err != nil {
 							t.Fatalf("round %d: %v", round, err)
 						}
+						r := rep.(*Result)
 						if !r.Verified {
 							t.Fatalf("round %d: output verification failed", round)
 						}
@@ -128,10 +129,11 @@ func TestPlanResetEquivalence(t *testing.T) {
 					if round > 0 {
 						e.Reset()
 					}
-					r, err := runPlanOn(e, s, pl, p)
+					rep, err := runOn(e, s, pl, p)
 					if err != nil {
 						t.Fatalf("round %d: %v", round, err)
 					}
+					r := rep.(*PlanResult)
 					if !r.Verified {
 						t.Fatalf("round %d: output verification failed", round)
 					}

@@ -4,7 +4,7 @@ package simulate
 // Spec row — a name, an engine identity template, and the operator
 // algorithm selectors. The paper's seven systems are builtin rows; new
 // variants (sensitivity sweeps, what-if systems) register at runtime and
-// run through Run/RunSampled exactly like the builtins. See DESIGN.md
+// run through Run and RunPlan exactly like the builtins. See DESIGN.md
 // §11 for how the registry layers over engine.SystemSpec.
 
 import (
@@ -126,7 +126,7 @@ func builtinSpecs() []Spec {
 
 // Register adds a system spec to the registry and returns its handle.
 // Names are case-insensitive, unique, and non-empty. Registered systems
-// run through Run/RunSampled exactly like the builtin seven; Systems()
+// run through Run and RunPlan exactly like the builtin seven; Systems()
 // — and therefore RunAll — still enumerates only the paper's matrix.
 func Register(sp Spec) (System, error) {
 	if sp.Name == "" {

@@ -101,6 +101,29 @@ func streamInput(name string, p Params) (*tuple.Relation, error) {
 	return workload.Uniform(name, c), nil
 }
 
+// groupInput generates the aggregation input relation. Under ZipfS the
+// group sizes themselves are Zipf-distributed — the hot-group regime the
+// splitting path targets. The uniform default keeps the paper's
+// average-group-size-4 workload.
+func groupInput(p Params) (*tuple.Relation, error) {
+	c := workload.Config{Seed: p.Seed, Tuples: p.STuples, KeySpace: p.KeySpace}
+	if p.ZipfS > 0 {
+		return workload.Zipf("agg-in", c, p.ZipfS)
+	}
+	return workload.GroupBy(c, p.GroupSize)
+}
+
+// joinInput generates the join relations: uniform foreign keys by default.
+// Under ZipfS the probe relation's foreign keys are skewed: a few R tuples
+// match most of S (the hot-run regime of the sort-merge probe's batching).
+func joinInput(p Params) (rRel, sRel *tuple.Relation, err error) {
+	c := workload.Config{Seed: p.Seed, Tuples: p.STuples}
+	if p.ZipfS > 0 {
+		return workload.FKPairZipf(c, p.RTuples, p.ZipfS)
+	}
+	return workload.FKPair(c, p.RTuples)
+}
+
 // place spreads a relation evenly across the vaults.
 func place(e *engine.Engine, rel *tuple.Relation) ([]*engine.Region, error) {
 	parts := rel.SplitEven(e.NumVaults())
@@ -115,55 +138,22 @@ func place(e *engine.Engine, rel *tuple.Relation) ([]*engine.Region, error) {
 	return regions, nil
 }
 
-// Run executes one operator on one system and verifies its output.
-//
-// Run is the engine's validated front door (DESIGN.md §10): it vets every
-// caller input first (Params.Validate plus system/operator range checks,
-// rejecting with a typed *ParamError) and executes the experiment under a
-// recovery boundary, so a panic in the simulation internals — an engine
-// invariant violation, by the error contract — returns as a *InternalError
-// carrying the original panic value and stack instead of crashing the
-// caller's process.
+// Run executes one operator on one system and verifies its output,
+// through the experiment harness (execute) that RunPlan shares.
 func Run(s System, op Operator, p Params) (*Result, error) {
-	if err := validateSystemOperator(s, op); err != nil {
-		return nil, err
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	var res *Result
-	err := Protect(fmt.Sprintf("%v/%v", s, op), func() error {
-		var err error
-		res, err = run(s, op, p)
-		return err
-	})
+	res, err := execute(s, op, p)
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return res.(*Result), nil
 }
 
-// run is the unguarded experiment body; Run wraps it in validation and the
-// recovery boundary. It draws its engine from the shared pool (pool.go)
-// unless Params.NoPool opts out, and releases it on every non-panicking
-// return — a panic abandons the engine to the garbage collector instead
-// of recycling unknowable state.
-func run(s System, op Operator, p Params) (*Result, error) {
-	e, release, err := acquireEngine(p, s)
-	if err != nil {
-		return nil, err
-	}
-	res, err := runOn(e, s, op, p)
-	release()
-	return res, err
-}
+// selector implements experiment.
+func (op Operator) selector() (string, int, int) { return "Operator", int(op), int(numOperators) }
 
-// runOn executes one operator experiment on the given pristine engine.
-// The returned Result aliases no engine state that outlives the run's
-// release: Reset replaces (rather than truncates) the step, phase and
-// exchange slices, so the result's views stay intact after the engine is
-// recycled.
-func runOn(e *engine.Engine, s System, op Operator, p Params) (*Result, error) {
+// body implements experiment: it places the operator's inputs, runs the
+// operator and checks its output against the reference.
+func (op Operator) body(e *engine.Engine, s System, p Params) (report, error) {
 	opCfg := p.OperatorConfig(s)
 	res := &Result{System: s, Operator: op}
 
@@ -185,7 +175,6 @@ func runOn(e *engine.Engine, s System, op Operator, p Params) (*Result, error) {
 		res.ProbeNs = r.ProbeNs
 		res.Verified = r.Matches == want &&
 			tuple.SameMultiset(operators.Gather(r.Out), operators.RefScan(rel.Tuples, needle))
-		res.ProbeBWPerVaultGBs = phaseBW(r.Steps, e.NumVaults())
 
 	case OpSort:
 		rel, err := streamInput("sort-in", p)
@@ -201,20 +190,11 @@ func runOn(e *engine.Engine, s System, op Operator, p Params) (*Result, error) {
 			return nil, err
 		}
 		res.PartitionNs, res.ProbeNs = r.PartitionNs, r.ProbeNs
-		res.Verified = verifySorted(r, rel)
+		res.Verified = verifyOrdered(r.Sorted, rel.Tuples)
 		res.DistBWPerVaultGBs = distBW(r.Partition, e.NumVaults())
 
 	case OpGroupBy:
-		// Under ZipfS the group sizes themselves are Zipf-distributed —
-		// the hot-group regime the splitting path targets. The uniform
-		// default keeps the paper's average-group-size-4 workload.
-		var rel *tuple.Relation
-		var err error
-		if p.ZipfS > 0 {
-			rel, err = workload.Zipf("groupby-in", workload.Config{Seed: p.Seed, Tuples: p.STuples, KeySpace: p.KeySpace}, p.ZipfS)
-		} else {
-			rel, err = workload.GroupBy(workload.Config{Seed: p.Seed, Tuples: p.STuples, KeySpace: p.KeySpace}, p.GroupSize)
-		}
+		rel, err := groupInput(p)
 		if err != nil {
 			return nil, err
 		}
@@ -231,16 +211,7 @@ func runOn(e *engine.Engine, s System, op Operator, p Params) (*Result, error) {
 		res.DistBWPerVaultGBs = distBW(r.Partition, e.NumVaults())
 
 	case OpJoin:
-		// Under ZipfS the probe relation's foreign keys are skewed: a few
-		// R tuples match most of S (the hot-run regime of the sort-merge
-		// probe's batching).
-		var rRel, sRel *tuple.Relation
-		var err error
-		if p.ZipfS > 0 {
-			rRel, sRel, err = workload.FKPairZipf(workload.Config{Seed: p.Seed, Tuples: p.STuples}, p.RTuples, p.ZipfS)
-		} else {
-			rRel, sRel, err = workload.FKPair(workload.Config{Seed: p.Seed, Tuples: p.STuples}, p.RTuples)
-		}
+		rRel, sRel, err := joinInput(p)
 		if err != nil {
 			return nil, err
 		}
@@ -264,42 +235,18 @@ func runOn(e *engine.Engine, s System, op Operator, p Params) (*Result, error) {
 		return nil, fmt.Errorf("simulate: unknown operator %v", op)
 	}
 
-	res.TotalNs = e.TotalNs()
-	res.Energy = e.Energy(p.Energy)
-	res.DRAM = e.DRAMStats()
-	res.Steps = e.Steps()
-	if p.Obs != nil {
-		e.CollectObs(p.Obs)
-		collectEnergy(p.Obs, res.Energy)
-		res.Phases = e.Phases()
-		res.Spans = e.BuildSpans()
-	}
-	if res.ProbeNs > 0 && res.ProbeBWPerVaultGBs == 0 {
-		res.ProbeBWPerVaultGBs = probePhaseBW(res.Steps, res.PartitionNs, e.NumVaults())
+	// The probe phase is every step after the partition phase; for Scan,
+	// which has no partition phase, that is the whole run.
+	if res.ProbeNs > 0 {
+		res.ProbeBWPerVaultGBs = probePhaseBW(e.Steps(), res.PartitionNs, e.NumVaults())
 	}
 	return res, nil
 }
 
-// verifySorted checks bucket-local sortedness, global range order, and
-// multiset equality with the input.
-func verifySorted(r *operators.SortResult, rel *tuple.Relation) bool {
-	var got []tuple.Tuple
-	var last tuple.Key
-	for _, b := range r.Sorted {
-		for i := 1; i < b.Len(); i++ {
-			if b.Tuples[i].Key < b.Tuples[i-1].Key {
-				return false
-			}
-		}
-		if len(got) > 0 && b.Len() > 0 && b.Tuples[0].Key < last {
-			return false
-		}
-		if b.Len() > 0 {
-			last = b.Tuples[b.Len()-1].Key
-		}
-		got = append(got, b.Tuples...)
-	}
-	return tuple.SameMultiset(got, rel.Tuples)
+// record implements report.
+func (r *Result) record(m measurement) {
+	r.TotalNs, r.Energy, r.DRAM = m.TotalNs, m.Energy, m.DRAM
+	r.Steps, r.Phases, r.Spans = m.Steps, m.Phases, m.Spans
 }
 
 // distBW extracts the distribution step's per-vault bandwidth.
@@ -310,20 +257,6 @@ func distBW(pr *operators.PartitionResult, vaults int) float64 {
 		}
 	}
 	return 0
-}
-
-// phaseBW aggregates bandwidth over a step list.
-func phaseBW(steps []engine.StepTiming, vaults int) float64 {
-	var ns float64
-	var bytes uint64
-	for _, st := range steps {
-		ns += st.Ns
-		bytes += st.StepBytes()
-	}
-	if ns == 0 {
-		return 0
-	}
-	return float64(bytes) / ns / float64(vaults)
 }
 
 // probePhaseBW aggregates bandwidth over the probe-phase steps (every

@@ -146,18 +146,6 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// validateSystemOperator range-checks the experiment selectors, which are
-// caller inputs just like Params fields.
-func validateSystemOperator(s System, op Operator) error {
-	if n := registeredSystems(); s < 0 || int(s) >= n {
-		return &ParamError{"System", int(s), fmt.Sprintf("want a registered system 0..%d", n-1)}
-	}
-	if op < 0 || op >= numOperators {
-		return &ParamError{"Operator", int(op), fmt.Sprintf("want 0..%d", int(numOperators)-1)}
-	}
-	return nil
-}
-
 // InternalError is a panic that escaped the simulation internals on a
 // validated input — by the error contract, an engine invariant violation
 // rather than a caller mistake. Error() stays on one line for CLI
