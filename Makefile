@@ -39,14 +39,13 @@ race-smoke:
 	$(GO) test -race -run '(TestGoldenDeterminism|TestPlanManifestDeterminism)/CPU' ./internal/simulate/
 
 # Short fuzzing sweep over the multiset-digest and operator round-trip
-# properties plus the simulate.Run no-panic boundary (the seed corpora
-# already run as regressions under `make test`).
+# properties plus the no-panic boundary of simulate.Run and RunPlan (the
+# seed corpora already run as regressions under `make test`).
 fuzz:
 	$(GO) test -fuzz=FuzzSameMultiset -fuzztime=10s ./internal/tuple/
 	$(GO) test -fuzz=FuzzPartitionRoundTrip -fuzztime=10s ./internal/operators/
 	$(GO) test -fuzz=FuzzRadixRoundTrip -fuzztime=10s ./internal/operators/
-	$(GO) test -run='^$$' -fuzz=FuzzRunNoPanic -fuzztime=15s ./internal/simulate/
-	$(GO) test -run='^$$' -fuzz=FuzzRunPlanNoPanic -fuzztime=15s ./internal/simulate/
+	$(GO) test -run='^$$' -fuzz=FuzzRunNoPanic -fuzztime=30s ./internal/simulate/
 
 # Operator benchmarks (bulk fast path vs per-tuple reference), the host worker-pool scaling sweep, and the fused-vs-staged
 # query-plan benchmarks, converted to a benchstat-compatible JSON

@@ -1,4 +1,4 @@
-// Command mondrian-sim runs a single operator on a single system
+// Command mondrian-sim runs a single operator or query plan on a single system
 // configuration and prints a detailed timing, bandwidth, DRAM and energy
 // report — the tool for exploring one point of the design space.
 //
