@@ -176,34 +176,27 @@ func main() {
 // measured against. Each run gets a fresh registry so counters never
 // bleed across experiments.
 func writeManifests(path string, p simulate.Params, plans bool) error {
-	// A cell runs one experiment and returns whether its output verified,
-	// plus its manifest builder.
+	// A cell runs one experiment and returns its manifest builder.
 	type cell struct {
 		name   string
 		staged bool
-		run    func(simulate.System, simulate.Params) (bool, func() *obs.Manifest, error)
+		run    func(simulate.System, simulate.Params) (func() *obs.Manifest, error)
 	}
 	var cells []cell
 	if plans {
 		for _, pl := range simulate.Plans() {
 			for _, staged := range []bool{false, true} {
-				cells = append(cells, cell{pl.String(), staged, func(s simulate.System, p simulate.Params) (bool, func() *obs.Manifest, error) {
+				cells = append(cells, cell{pl.String(), staged, func(s simulate.System, p simulate.Params) (func() *obs.Manifest, error) {
 					res, err := simulate.RunPlan(s, pl, p)
-					if err != nil {
-						return false, nil, err
-					}
-					return res.Verified, func() *obs.Manifest { return simulate.BuildPlanManifest(res, p, false) }, nil
+					return func() *obs.Manifest { return simulate.BuildPlanManifest(res, p, false) }, err
 				}})
 			}
 		}
 	} else {
 		for _, op := range simulate.Operators() {
-			cells = append(cells, cell{op.String(), false, func(s simulate.System, p simulate.Params) (bool, func() *obs.Manifest, error) {
+			cells = append(cells, cell{op.String(), false, func(s simulate.System, p simulate.Params) (func() *obs.Manifest, error) {
 				res, err := simulate.Run(s, op, p)
-				if err != nil {
-					return false, nil, err
-				}
-				return res.Verified, func() *obs.Manifest { return simulate.BuildManifest(res, p, false) }, nil
+				return func() *obs.Manifest { return simulate.BuildManifest(res, p, false) }, err
 			}})
 		}
 	}
@@ -214,15 +207,15 @@ func writeManifests(path string, p simulate.Params, plans bool) error {
 				p.NoFusion = c.staged
 				p.Obs = obs.NewRegistry()
 				start := time.Now()
-				verified, manifest, err := c.run(s, p)
+				manifest, err := c.run(s, p)
 				wall := time.Since(start)
 				if err != nil {
 					return fmt.Errorf("%v/%v: %w", s, c.name, err)
 				}
-				if !verified {
+				m := manifest()
+				if !m.Verified {
 					return fmt.Errorf("%v/%v: output verification failed", s, c.name)
 				}
-				m := manifest()
 				m.Host.WallNs = wall.Nanoseconds()
 				m.Host.Timestamp = start.UTC().Format(time.RFC3339)
 				if err := m.WriteJSONLine(w); err != nil {
