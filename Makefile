@@ -85,13 +85,16 @@ bench-smoke:
 	$(GO) test -bench=BenchmarkObsWindowOverhead -benchtime=2000x -run=^$$ . | $(GO) run ./cmd/benchjson > BENCH_PR10.json
 
 # Re-record the benchmark baseline (run on the reference machine;
-# benchguard skips when the CPU model differs): the disabled-metrics
-# overhead benchmark, the fused/staged query-plan end-to-end runs, and
-# the pooled-lifecycle and serve-scheduler benchmarks.
+# benchguard compares ns/op only on the same CPU model, and bytes/op and
+# allocs/op on any CPU but only under the same Go release): the
+# disabled-metrics overhead benchmark, the fused/staged query-plan
+# end-to-end runs, and the pooled-lifecycle and serve-scheduler
+# benchmarks. Every guard run uses -cpu 1, as allocation depends on
+# GOMAXPROCS.
 bench-baseline:
-	( $(GO) test -bench='BenchmarkObsOverhead|BenchmarkPlanJoinAggSort' -benchtime=5x -count=3 -run=^$$ . ; \
-	  $(GO) test -bench='BenchmarkPooledRun|BenchmarkServeQPS' -benchtime=100x -count=3 -run=^$$ . ; \
-	  $(GO) test -bench=BenchmarkObsWindowOverhead -benchtime=20000x -count=5 -run=^$$ . ) \
+	( $(GO) test -cpu 1 -bench='BenchmarkObsOverhead|BenchmarkPlanJoinAggSort' -benchtime=5x -count=3 -run=^$$ . ; \
+	  $(GO) test -cpu 1 -bench='BenchmarkPooledRun|BenchmarkServeQPS' -benchtime=100x -count=3 -run=^$$ . ; \
+	  $(GO) test -cpu 1 -bench=BenchmarkObsWindowOverhead -benchtime=20000x -count=5 -run=^$$ . ) \
 	  | $(GO) run ./cmd/benchjson > BENCH_BASELINE.json
 	@echo wrote BENCH_BASELINE.json
 
@@ -103,24 +106,26 @@ bench-baseline:
 # shows up directly there. Both sides run -count=3 and benchguard keeps
 # each benchmark's fastest repetition: steal time, GC pauses and noisy
 # neighbors only ever add time, so min-of-N is the stable estimate on a
-# shared host. Guard output stays out of the repo.
+# shared host. Any guarded benchmark whose bytes/op or allocs/op rose
+# more than 1% fails on any runner with the baseline's Go release. Guard
+# output stays out of the repo.
 bench-guard:
-	$(GO) test -bench='BenchmarkObsOverhead$$' -benchtime=5x -count=3 -run=^$$ . | $(GO) run ./cmd/benchjson > /tmp/bench_obs_current.json
+	$(GO) test -cpu 1 -bench='BenchmarkObsOverhead$$' -benchtime=5x -count=3 -run=^$$ . | $(GO) run ./cmd/benchjson > /tmp/bench_obs_current.json
 	$(GO) run ./cmd/benchguard -baseline BENCH_BASELINE.json -current /tmp/bench_obs_current.json
-	$(GO) test -bench=BenchmarkObsWindowOverhead -benchtime=20000x -count=5 -run=^$$ . | $(GO) run ./cmd/benchjson > /tmp/bench_window_current.json
+	$(GO) test -cpu 1 -bench=BenchmarkObsWindowOverhead -benchtime=20000x -count=5 -run=^$$ . | $(GO) run ./cmd/benchjson > /tmp/bench_window_current.json
 	$(GO) run ./cmd/benchguard -baseline BENCH_BASELINE.json -current /tmp/bench_window_current.json -match '^BenchmarkObsWindowOverhead' -threshold 0.10
-	$(GO) test -bench=BenchmarkPlanJoinAggSort -benchtime=5x -count=3 -run=^$$ . | $(GO) run ./cmd/benchjson > /tmp/bench_plan_current.json
+	$(GO) test -cpu 1 -bench=BenchmarkPlanJoinAggSort -benchtime=5x -count=3 -run=^$$ . | $(GO) run ./cmd/benchjson > /tmp/bench_plan_current.json
 	$(GO) run ./cmd/benchguard -baseline BENCH_BASELINE.json -current /tmp/bench_plan_current.json -match '^BenchmarkPlanJoinAggSort' -threshold 0.10
-	$(GO) test -bench='BenchmarkPooledRun|BenchmarkServeQPS' -benchtime=100x -count=3 -run=^$$ . | $(GO) run ./cmd/benchjson > /tmp/bench_serve_current.json
+	$(GO) test -cpu 1 -bench='BenchmarkPooledRun|BenchmarkServeQPS' -benchtime=100x -count=3 -run=^$$ . | $(GO) run ./cmd/benchjson > /tmp/bench_serve_current.json
 	$(GO) run ./cmd/benchguard -baseline BENCH_BASELINE.json -current /tmp/bench_serve_current.json -match '^BenchmarkServeQPS' -threshold 0.10
 	$(GO) run ./cmd/benchguard -baseline BENCH_BASELINE.json -current /tmp/bench_serve_current.json -match '^BenchmarkPooledRun' -threshold 0.25
 
 # Print baseline-vs-current per-op ratios for every guarded benchmark
 # (no failure thresholds — a human-readable drift report).
 bench-compare:
-	( $(GO) test -bench='BenchmarkObsOverhead$$|BenchmarkPlanJoinAggSort' -benchtime=5x -run=^$$ . ; \
-	  $(GO) test -bench='BenchmarkPooledRun|BenchmarkServeQPS' -benchtime=100x -run=^$$ . ; \
-	  $(GO) test -bench=BenchmarkObsWindowOverhead -benchtime=20000x -run=^$$ . ) \
+	( $(GO) test -cpu 1 -bench='BenchmarkObsOverhead$$|BenchmarkPlanJoinAggSort' -benchtime=5x -run=^$$ . ; \
+	  $(GO) test -cpu 1 -bench='BenchmarkPooledRun|BenchmarkServeQPS' -benchtime=100x -run=^$$ . ; \
+	  $(GO) test -cpu 1 -bench=BenchmarkObsWindowOverhead -benchtime=20000x -run=^$$ . ) \
 	  | $(GO) run ./cmd/benchjson > /tmp/bench_compare_current.json
 	$(GO) run ./cmd/benchguard -baseline BENCH_BASELINE.json -current /tmp/bench_compare_current.json \
 	  -match '^Benchmark(ObsOverhead|ObsWindowOverhead|PlanJoinAggSort|PooledRun|ServeQPS)' -report

@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -31,16 +32,19 @@ type Result struct {
 
 // Snapshot is the whole converted run.
 type Snapshot struct {
-	Goos       string   `json:"goos,omitempty"`
-	Goarch     string   `json:"goarch,omitempty"`
-	Pkg        string   `json:"pkg,omitempty"`
-	CPU        string   `json:"cpu,omitempty"`
+	Goos   string `json:"goos,omitempty"`
+	Goarch string `json:"goarch,omitempty"`
+	Pkg    string `json:"pkg,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	// Go is the toolchain release that built this converter — under `go
+	// run`, the one that ran the benchmarks piped into it.
+	Go         string   `json:"go,omitempty"`
 	Benchmarks []Result `json:"benchmarks"`
 	Raw        []string `json:"raw"`
 }
 
 func main() {
-	snap := Snapshot{Benchmarks: []Result{}, Raw: []string{}}
+	snap := Snapshot{Go: runtime.Version(), Benchmarks: []Result{}, Raw: []string{}}
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {

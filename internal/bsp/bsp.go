@@ -244,7 +244,7 @@ func superstep(e *engine.Engine, p Program, g *Graph, states []int64,
 		return false, err
 	}
 	e.BeginStep(engine.StepProfile{Name: "bsp-exchange", DepIPC: 1.0, InstPerAccess: 4, StreamFed: streamed})
-	x := e.NewExchange(dests)
+	x := e.NewExchange(dests, perSource)
 	if err := e.ForEachVault(func(s int, u *engine.Unit) error {
 		ob := x.Outbox(s)
 		for i := 0; i < staging[s].Len(); i++ {

@@ -173,10 +173,15 @@ func (r *Region) addrOf(idx int) int64 { return r.Addr + int64(idx)*tuple.Size }
 // Views share r's backing storage and address range; they exist so merge
 // passes can tie individual sorted runs to stream buffers.
 func (r *Region) View(start, end int) *Region {
+	v := r.view(start, end)
+	return &v
+}
+
+func (r *Region) view(start, end int) Region {
 	if start < 0 || end > len(r.Tuples) || start > end {
 		panic(fmt.Sprintf("engine: view [%d,%d) of region with %d tuples", start, end, len(r.Tuples)))
 	}
-	return &Region{
+	return Region{
 		Vault:  r.Vault,
 		Addr:   r.addrOf(start),
 		Tuples: r.Tuples[start:end:end],
@@ -187,6 +192,46 @@ func (r *Region) View(start, end int) *Region {
 // Reset empties the region (its capacity and address are unchanged), so a
 // scratch region can be reused across merge passes.
 func (r *Region) Reset() { r.Tuples = r.Tuples[:0] }
+
+// Reserve makes room in r's host storage for n more tuples with one
+// exact-size allocation, so the appends that follow never reallocate. A
+// region that already has the room is left as it is. Simulated state is
+// untouched: host storage is not simulated memory.
+func (r *Region) Reserve(n int) {
+	if cap(r.Tuples)-len(r.Tuples) >= n {
+		return
+	}
+	grown := make([]tuple.Tuple, len(r.Tuples), len(r.Tuples)+n)
+	copy(grown, r.Tuples)
+	r.Tuples = grown
+}
+
+// reserveAll is Reserve(need[i]) for every regions[i], carved from one
+// allocation. Each region gets a full slice expression, so a region that
+// outgrows its reservation reallocates instead of spilling into its
+// neighbour's share.
+func reserveAll(regions []*Region, need []int) {
+	total := 0
+	for i, r := range regions {
+		if cap(r.Tuples)-len(r.Tuples) < need[i] {
+			total += len(r.Tuples) + need[i]
+		}
+	}
+	if total == 0 {
+		return
+	}
+	backing := make([]tuple.Tuple, total)
+	for i, r := range regions {
+		n := len(r.Tuples) + need[i]
+		if cap(r.Tuples) >= n {
+			continue
+		}
+		grown := backing[:len(r.Tuples):n]
+		copy(grown, r.Tuples)
+		r.Tuples = grown
+		backing = backing[n:]
+	}
+}
 
 // AccessKind classifies traced memory accesses.
 type AccessKind int

@@ -60,8 +60,10 @@ type Outbox struct {
 // NewExchange prepares a staged exchange into the given per-vault
 // destination regions (as returned by MallocPermutable). Permutability
 // follows the engine configuration, matching the serial engine's choice
-// between SendPermutable and SendAt.
-func (e *Engine) NewExchange(dests []*Region) *Exchange {
+// between SendPermutable and SendAt. perSource is the histogram the
+// shuffle announced in ShuffleBegin: perSource[src][dst] tuples will be
+// sent from src to dst, and each staging list is sized to its count.
+func (e *Engine) NewExchange(dests []*Region, perSource [][]int64) *Exchange {
 	if e.spec.HostCores {
 		panic("engine: Exchange is for vault-resident specs; host cores shuffle through the cache hierarchy")
 	}
@@ -69,14 +71,30 @@ func (e *Engine) NewExchange(dests []*Region) *Exchange {
 		panic(fmt.Sprintf("engine: %d destination regions for %d vaults", len(dests), e.NumVaults()))
 	}
 	x := &Exchange{e: e, dests: dests, perm: e.cfg.Permutable}
+	total := 0
+	for _, row := range perSource {
+		for _, n := range row {
+			total += int(n)
+		}
+	}
+	// One array backs every staging list; full slice expressions keep a
+	// list that outgrows its announced count from spilling into the next.
+	backing := make([]exMsg, total)
 	x.boxes = make([]*Outbox, len(e.units))
 	for i, u := range e.units {
-		x.boxes[i] = &Outbox{
+		box := &Outbox{
 			x:      x,
 			u:      u,
 			perDst: make([][]exMsg, len(dests)),
 			netCnt: make([]uint64, len(dests)),
 		}
+		if i < len(perSource) {
+			for d, n := range perSource[i] {
+				box.perDst[d] = backing[:0:n]
+				backing = backing[n:]
+			}
+		}
+		x.boxes[i] = box
 	}
 	return x
 }
@@ -184,6 +202,10 @@ func (x *Exchange) Flush() error {
 		if x.perm && !e.cfg.NoBulk && shards == nil && dst.Vault.ShuffleActive() {
 			return x.applyPermutableRun(dst, arr)
 		}
+		if !x.perm {
+			// The conventional slots are 0..total-1: extend once.
+			ensureLen(dst, min(total, dst.cap))
+		}
 		for _, a := range arr {
 			if x.perm {
 				if len(dst.Tuples) >= dst.cap {
@@ -205,7 +227,6 @@ func (x *Exchange) Flush() error {
 			if idx < 0 || idx >= dst.cap {
 				panic(fmt.Sprintf("engine: send index %d outside capacity %d", idx, dst.cap))
 			}
-			ensureLen(dst, idx+1)
 			dst.Tuples[idx] = a.m.t
 			addr := dst.addrOf(idx)
 			if shards != nil {

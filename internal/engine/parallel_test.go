@@ -183,7 +183,7 @@ func runExchange(t *testing.T, cfg Config) exchangeOutcome {
 	}
 
 	e.BeginStep(StepProfile{Name: "dist", DepIPC: 1, InstPerAccess: 4})
-	x := e.NewExchange(dests)
+	x := e.NewExchange(dests, perSource)
 	if err := e.ForEachVault(func(v int, u *Unit) error {
 		ob := x.Outbox(v)
 		for i := 0; i < inputs[v].Len(); i++ {

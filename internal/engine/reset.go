@@ -63,6 +63,7 @@ func (e *Engine) Reset() {
 		u.accessTotal = 0
 		u.buffering = false
 		u.traceBuf = u.traceBuf[:0]
+		u.group.release()
 	}
 
 	e.tracer = nil

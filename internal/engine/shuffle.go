@@ -63,12 +63,17 @@ func (e *Engine) ShuffleBegin(dests []*Region, perSource [][]int64) error {
 	// architecture — conventional systems compute their write offsets from
 	// these same counts and must refuse a shuffle that cannot fit, exactly
 	// like the permutable controller's hardware check below.
+	need := make([]int, len(dests))
 	for dst, r := range dests {
 		if inbound[dst] > int64(r.cap)*tuple.Size {
 			return fmt.Errorf("%w: vault %d announced %d B inbound for a %d-tuple (%d B) buffer",
 				hmc.ErrRegionOverflow, r.Vault.ID, inbound[dst], r.cap, int64(r.cap)*tuple.Size)
 		}
+		need[dst] = int(inbound[dst] / tuple.Size)
 	}
+	// The same exact counts size every destination's host storage, so no
+	// arrival grows a region.
+	reserveAll(dests, need)
 	if e.cfg.Permutable {
 		for dst, r := range dests {
 			if err := r.Vault.BeginShuffle(inbound[dst]); err != nil {

@@ -26,25 +26,90 @@ type StreamReader struct {
 // units; cache-backed units accept any count.
 func (u *Unit) OpenStreams(regions ...*Region) ([]*StreamReader, error) {
 	readers := make([]*StreamReader, len(regions))
-	if u.Streams == nil {
-		for i, r := range regions {
-			readers[i] = &StreamReader{u: u, r: r, stream: -1}
-		}
-		return readers, nil
-	}
-	ranges := make([]hmc.Range, len(regions))
 	for i, r := range regions {
-		if r.Vault != u.Vault {
-			return nil, fmt.Errorf("engine: region in vault %d streamed from unit %d (vault %d)",
-				r.Vault.ID, u.ID, u.Vault.ID)
-		}
-		ranges[i] = hmc.Range{Start: r.Addr, End: r.addrOf(len(r.Tuples))}
-		readers[i] = &StreamReader{u: u, r: r, stream: i}
+		readers[i] = &StreamReader{u: u, r: r, stream: -1}
 	}
-	if err := u.Streams.Configure(ranges); err != nil {
+	if _, err := u.bindStreams(readers, nil); err != nil {
 		return nil, err
 	}
 	return readers, nil
+}
+
+// bindStreams gives readers[i] stream buffer i on stream-buffer units and
+// leaves them demand readers on cache-backed ones. ranges is scratch
+// storage for the stream ranges, returned for reuse.
+func (u *Unit) bindStreams(readers []*StreamReader, ranges []hmc.Range) ([]hmc.Range, error) {
+	if u.Streams == nil {
+		return ranges, nil
+	}
+	if cap(ranges) < len(readers) {
+		ranges = make([]hmc.Range, 0, len(readers))
+	}
+	ranges = ranges[:0]
+	for i, s := range readers {
+		if s.r.Vault != u.Vault {
+			return ranges, fmt.Errorf("engine: region in vault %d streamed from unit %d (vault %d)",
+				s.r.Vault.ID, u.ID, u.Vault.ID)
+		}
+		ranges = append(ranges, hmc.Range{Start: s.r.Addr, End: s.r.addrOf(len(s.r.Tuples))})
+		s.stream = i
+	}
+	return ranges, u.Streams.Configure(ranges)
+}
+
+// StreamGroup is a reusable OpenStreams over views of regions. It keeps
+// the views, readers and stream ranges that OpenStreams allocates per
+// call, so a merge pass that opens one group per run group allocates
+// nothing once warm. Each unit owns one group (Unit.StreamGroup); the
+// storage is host scratch, and the views are dropped at Engine.Reset.
+type StreamGroup struct {
+	u       *Unit
+	views   []Region
+	readers []StreamReader
+	ptrs    []*StreamReader
+	ranges  []hmc.Range
+}
+
+// StreamGroup returns the unit's stream group, emptied for a new set of
+// views. It invalidates the readers of the group's previous Open.
+func (u *Unit) StreamGroup() *StreamGroup {
+	g := &u.group
+	g.u = u
+	g.views = g.views[:0]
+	return g
+}
+
+// AddView adds tuples [start, end) of r as the group's next stream: the
+// region r.View(start, end) returns, without allocating it.
+func (g *StreamGroup) AddView(r *Region, start, end int) {
+	g.views = append(g.views, r.view(start, end))
+}
+
+// Open ties the added views to the unit's stream buffers, as OpenStreams
+// would, and returns one reader per view in the group's storage.
+func (g *StreamGroup) Open() ([]*StreamReader, error) {
+	g.readers = g.readers[:0]
+	g.ptrs = g.ptrs[:0]
+	for i := range g.views {
+		g.readers = append(g.readers, StreamReader{u: g.u, r: &g.views[i], stream: -1})
+	}
+	for i := range g.readers {
+		g.ptrs = append(g.ptrs, &g.readers[i])
+	}
+	var err error
+	g.ranges, err = g.u.bindStreams(g.ptrs, g.ranges)
+	if err != nil {
+		return nil, err
+	}
+	return g.ptrs, nil
+}
+
+// release drops the group's references to region storage, keeping its
+// capacity.
+func (g *StreamGroup) release() {
+	clear(g.views[:cap(g.views)])
+	clear(g.readers[:cap(g.readers)])
+	g.views, g.readers, g.ptrs = g.views[:0], g.readers[:0], g.ptrs[:0]
 }
 
 // Peek returns the tuple at the head of the stream without consuming it.

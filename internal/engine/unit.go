@@ -52,6 +52,9 @@ type Unit struct {
 
 	// runRes is the reusable tally for bulk cache runs (accessRun).
 	runRes cache.RunResult
+
+	// group is the reusable stream group (StreamGroup).
+	group StreamGroup
 }
 
 // Bulk reports whether the batched run-based fast path is enabled for
@@ -223,10 +226,33 @@ func (u *Unit) AppendRunLocal(r *Region, ts []tuple.Tuple) {
 	u.WriteRunBytes(r.addrOf(idx), tuple.Size, len(ts))
 }
 
-func ensureLen(r *Region, n int) {
-	for len(r.Tuples) < n {
-		r.Tuples = append(r.Tuples, tuple.Tuple{})
+// ChargeAppendsLocal charges tuples [start, r.Len()) of a region in the
+// unit's own vault, which the caller appended to r.Tuples itself, as one
+// sequential write run: the accounting of AppendRunLocal without staging
+// the tuples in a second buffer.
+func (u *Unit) ChargeAppendsLocal(r *Region, start int) {
+	if len(r.Tuples) > r.cap {
+		panic("engine: append past region capacity")
 	}
+	u.WriteRunBytes(r.addrOf(start), tuple.Size, len(r.Tuples)-start)
+}
+
+// ensureLen extends r.Tuples to n zero tuples in one step. Storage that
+// must grow at least doubles, as append would, but never past the
+// region's capacity.
+func ensureLen(r *Region, n int) {
+	old := len(r.Tuples)
+	if n <= old {
+		return
+	}
+	if n > cap(r.Tuples) {
+		c := max(n, min(2*cap(r.Tuples), r.cap))
+		grown := make([]tuple.Tuple, old, c)
+		copy(grown, r.Tuples)
+		r.Tuples = grown
+	}
+	r.Tuples = r.Tuples[:n]
+	clear(r.Tuples[old:])
 }
 
 // --- shuffle (partitioning-phase data distribution) -----------------------

@@ -268,7 +268,7 @@ func shuffle(e *engine.Engine, staging []*engine.Region) ([]*engine.Region, erro
 
 	e.BeginStep(engine.StepProfile{Name: "mr-shuffle", DepIPC: 1.0, InstPerAccess: 4,
 		StreamFed: e.Config().UseStreams})
-	x := e.NewExchange(dests)
+	x := e.NewExchange(dests, perSource)
 	if err := e.ForEachVault(func(v int, u *engine.Unit) error {
 		ob := x.Outbox(v)
 		for i := 0; i < staging[v].Len(); i++ {

@@ -117,3 +117,39 @@ func TestQuicksortKernelSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("quicksort kernel steady state allocates %v times per run", allocs)
 	}
 }
+
+// TestMergesortKernelSteadyStateZeroAlloc pins the bulk mergesort kernel
+// (run formation plus every merge pass) on a streamed Mondrian unit and on
+// a cache-backed NMP unit: the unit's stream group carries the per-group
+// views and readers, and the scratch region's host storage is reserved
+// once, so after one warm-up call every further call performs zero heap
+// allocations.
+func TestMergesortKernelSteadyStateZeroAlloc(t *testing.T) {
+	rel := workload.Uniform("in", workload.Config{Seed: 25, Tuples: 4096, KeySpace: 1 << 16})
+	for _, v := range []variant{testVariants()[2], testVariants()[5]} { // NMP-seq, Mondrian
+		t.Run(v.name, func(t *testing.T) {
+			e := newEngine(t, v.cfg)
+			r, err := e.Place(0, rel.Tuples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scratch, err := e.AllocOut(0, rel.Len())
+			if err != nil {
+				t.Fatal(err)
+			}
+			u := e.UnitForVault(0)
+			simd := isSIMD(e)
+			e.BeginStep(engine.StepProfile{Name: "sort", StreamFed: e.Config().UseStreams})
+			defer e.EndStep()
+			kernel := func() {
+				if _, err := mergesortLocal(u, v.opCfg.Costs, r, scratch, simd); err != nil {
+					t.Fatal(err)
+				}
+			}
+			kernel()
+			if allocs := testing.AllocsPerRun(10, kernel); allocs != 0 {
+				t.Fatalf("mergesort kernel steady state allocates %v times per run", allocs)
+			}
+		})
+	}
+}

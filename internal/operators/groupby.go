@@ -153,6 +153,7 @@ func groupByHashProbe(e *engine.Engine, cfg Config, buckets []*engine.Region, re
 			keys = append(keys, key)
 		}
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		outs[g].Reserve(len(keys) * int(numAggs))
 		for _, key := range keys {
 			u.Charge(float64(numAggs) * 2)
 			emitGroup(u, outs[g], key, tables[g].groups[key])
@@ -209,6 +210,13 @@ func groupBySortProbe(e *engine.Engine, cm CostModel, buckets []*engine.Region, 
 			// the last, which ends at the stream's end.
 			ts := sorted[b].Tuples
 			n := len(ts)
+			groups := 0
+			for i := range ts {
+				if i == 0 || ts[i].Key != ts[i-1].Key {
+					groups++
+				}
+			}
+			outs[b].Reserve(groups * int(numAggs))
 			c := 0 // tuples consumed from the reader so far
 			for gs := 0; gs < n; {
 				ge := gs + 1

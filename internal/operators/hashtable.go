@@ -30,9 +30,7 @@ func newHashTable(e *engine.Engine, vaultID, capacity int) (*hashTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < slots; i++ {
-		r.Tuples = append(r.Tuples, tuple.Tuple{})
-	}
+	r.Tuples = make([]tuple.Tuple, slots)
 	return &hashTable{region: r, occupied: make([]bool, slots), mask: uint64(slots - 1)}, nil
 }
 

@@ -244,7 +244,7 @@ func nmpPartition(e *engine.Engine, cfg Config, inputs []*engine.Region, part Pa
 	insts, profile := distInsts(e, cm)
 
 	e.BeginStep(probeProfile(e, profile))
-	x := e.NewExchange(dests)
+	x := e.NewExchange(dests, perSource)
 	if err := e.ForEachVaultWeighted(stealWeights(e, inputs), func(v int, u *engine.Unit) error {
 		rs, err := u.OpenStreams(inputs[v])
 		if err != nil {
@@ -370,34 +370,27 @@ func cpuPartition(e *engine.Engine, cfg Config, inputs []*engine.Region, part Pa
 	res.HistogramNs = e.TotalNs() - t0
 	t1 := e.TotalNs()
 
-	// Per-(core,bucket) write offsets.
-	offset := make([][]int, nCores)
-	offBacking := make([]int, nCores*part.Buckets)
-	for c := range offset {
-		offset[c] = offBacking[c*part.Buckets : (c+1)*part.Buckets]
-	}
-	for b := 0; b < part.Buckets; b++ {
-		run := 0
-		for c := 0; c < nCores; c++ {
-			offset[c][b] = run
-			run += int(hist[c][b])
-		}
-	}
-
-	// The histogram gives each bucket's exact final size; carve the
-	// host-side tuple storage from one slab so the distribute loop's
-	// ensureLen appends never reallocate (host memory only — simulated
-	// region capacity is untouched). Skew-aware runs size the sketch-side
-	// report from the same exact counts and reallocate just the
-	// overflowing buckets at their exact size instead of surfacing the
-	// §5.4 retry error; non-overflowing runs perform no extra allocation,
-	// keeping the allocation sequence byte-identical to skew-unaware.
+	// Per-(core,bucket) write offsets, computed in place over the
+	// histogram (offset[c][b] is the prefix sum of hist[c'][b] over c' <
+	// c), and each bucket's exact final size.
+	offset := hist
 	counts := make([]int64, part.Buckets)
 	for b := range counts {
 		for c := 0; c < nCores; c++ {
-			counts[b] += hist[c][b]
+			n := hist[c][b]
+			offset[c][b] = counts[b]
+			counts[b] += n
 		}
 	}
+
+	// The counts size each bucket's host-side tuple storage, carved from
+	// one slab so the distribute loop's ensureLen never reallocates (host
+	// memory only — simulated region capacity is untouched). Skew-aware
+	// runs size the sketch-side report from the same exact counts and
+	// reallocate just the overflowing buckets at their exact size instead
+	// of surfacing the §5.4 retry error; non-overflowing runs perform no
+	// extra allocation, keeping the allocation sequence byte-identical to
+	// skew-unaware.
 	if cfg.SkewAware {
 		sketch := sketches[0]
 		for _, sk := range sketches[1:] {
@@ -443,7 +436,7 @@ func cpuPartition(e *engine.Engine, cfg Config, inputs []*engine.Region, part Pa
 				t := u.LoadTuple(in, i)
 				b := part.Bucket(t.Key)
 				u.Charge(insts)
-				u.SendAt(buckets[b], offset[c][b], t)
+				u.SendAt(buckets[b], int(offset[c][b]), t)
 				offset[c][b]++
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/ecocloud-go/mondrian/internal/engine"
-	"github.com/ecocloud-go/mondrian/internal/tuple"
 )
 
 // LSD radix sort — an alternative sequential-access sort for the probe
@@ -96,11 +95,13 @@ func radixSortLocal(u *engine.Unit, cm CostModel, r, scratch *engine.Region, key
 	return src, nil
 }
 
-// ensureCap grows the region's functional length to n (zero tuples) so
-// StoreTuple can place out of order.
+// ensureCap sets the region's functional length to n (new slots zeroed)
+// so StoreTuple can place out of order.
 func ensureCap(r *engine.Region, n int) {
-	for r.Len() < n {
-		r.Tuples = append(r.Tuples, tuple.Tuple{})
+	if old := r.Len(); old < n {
+		r.Reserve(n - old)
+		r.Tuples = r.Tuples[:n]
+		clear(r.Tuples[old:])
 	}
 	r.Tuples = r.Tuples[:n]
 }

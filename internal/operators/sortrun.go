@@ -129,7 +129,9 @@ func formRuns(u *engine.Unit, cm CostModel, r *engine.Region, simd bool) error {
 	if n == 0 {
 		return nil
 	}
-	readers, err := u.OpenStreams(r)
+	g := u.StreamGroup()
+	g.AddView(r, 0, n)
+	readers, err := g.Open()
 	if err != nil {
 		return err
 	}
@@ -184,12 +186,15 @@ func formRuns(u *engine.Unit, cm CostModel, r *engine.Region, simd bool) error {
 
 // mergePass merges sorted runs of runLen from src into dst, fanIn at a
 // time, charging per-tuple merge work. dst must be empty with capacity
-// ≥ src.Len().
+// ≥ src.Len(); its host storage is reserved once, and the unit's stream
+// group carries the per-group views and readers, so a warm pass does not
+// allocate.
 func mergePass(u *engine.Unit, cm CostModel, src, dst *engine.Region, runLen, fanIn int, simd bool) error {
 	if dst.Len() != 0 {
 		return fmt.Errorf("operators: merge destination not empty")
 	}
 	n := src.Len()
+	dst.Reserve(n)
 	insts := cm.MergeInsts
 	if simd {
 		insts = cm.SIMDMergeInsts
@@ -197,35 +202,33 @@ func mergePass(u *engine.Unit, cm CostModel, src, dst *engine.Region, runLen, fa
 	// The merge interleave is data-dependent, so pops stay per-tuple. On
 	// stream-buffer units, though, pops themselves are free — only the
 	// granule refills touch DRAM — so the strictly sequential output
-	// appends between two refills can retire as one run: flushing the
+	// appends between two refills can retire as one run: charging the
 	// pending appends right before each refill-triggering pop preserves
 	// the exact DRAM access order of the per-tuple loop. (Cache-backed
 	// units issue a demand read per pop, so their appends cannot batch.)
-	var pending []tuple.Tuple
-	var keys []tuple.Key // cached stream heads; scanned instead of re-Peeking
-	var live []bool
+	charged := 0 // dst's tuples below this index are charged
+	// Cached stream heads, scanned instead of re-Peeking; fan-ins up to 16
+	// keep them on the stack.
+	var keyBuf [16]tuple.Key
+	var liveBuf [16]bool
+	keys, live := keyBuf[:0], liveBuf[:0]
 	flush := func() {
-		if len(pending) == 0 {
-			return
+		if k := dst.Len() - charged; k > 0 {
+			u.ChargeRun(insts, k)
+			u.ChargeAppendsLocal(dst, charged)
+			charged = dst.Len()
 		}
-		u.ChargeRun(insts, len(pending))
-		u.AppendRunLocal(dst, pending)
-		pending = pending[:0]
 	}
 	for groupStart := 0; groupStart < n; groupStart += runLen * fanIn {
-		views := make([]*engine.Region, 0, fanIn)
+		g := u.StreamGroup()
 		for r := 0; r < fanIn; r++ {
 			s := groupStart + r*runLen
 			if s >= n {
 				break
 			}
-			e := s + runLen
-			if e > n {
-				e = n
-			}
-			views = append(views, src.View(s, e))
+			g.AddView(src, s, min(s+runLen, n))
 		}
-		readers, err := u.OpenStreams(views...)
+		readers, err := g.Open()
 		if err != nil {
 			return err
 		}
@@ -252,11 +255,12 @@ func mergePass(u *engine.Unit, cm CostModel, src, dst *engine.Region, runLen, fa
 					flush()
 				}
 				t, _ := readers[best].Next()
-				pending = append(pending, t)
+				dst.Tuples = append(dst.Tuples, t)
 			} else {
 				t, _ := readers[best].Next()
 				u.Charge(insts)
 				u.AppendLocal(dst, t)
+				charged++
 			}
 			t, ok := readers[best].Peek()
 			keys[best], live[best] = t.Key, ok

@@ -33,6 +33,7 @@ func Materialize(e *engine.Engine, outs []*engine.Region) ([]*engine.Region, err
 		if err != nil {
 			return nil, err
 		}
+		dst.Reserve(total)
 		u := unitFor(e, v)
 		for _, r := range byVault[v] {
 			n := r.Len()

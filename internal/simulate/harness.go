@@ -18,9 +18,9 @@ type experiment interface {
 	// value and the number of valid values, for the range check.
 	selector() (field string, value, count int)
 	// body places the inputs on a pristine engine, executes the operator
-	// or plan, verifies the output and returns the kind's report with its
-	// own fields set.
-	body(e *engine.Engine, s System, p Params) (report, error)
+	// or plan and returns the kind's report with its own fields set, and
+	// the check of its output.
+	body(e *engine.Engine, s System, p Params) (report, *outputCheck, error)
 }
 
 // report is a typed experiment report, *Result or *PlanResult.
@@ -32,12 +32,13 @@ type report interface {
 // measurement is the report tail every experiment shares, read off the
 // engine after the body ran.
 type measurement struct {
-	TotalNs float64
-	Energy  energy.Breakdown
-	DRAM    dram.Stats
-	Steps   []engine.StepTiming
-	Phases  []engine.PhaseTiming
-	Spans   *obs.Span
+	Verified bool
+	TotalNs  float64
+	Energy   energy.Breakdown
+	DRAM     dram.Stats
+	Steps    []engine.StepTiming
+	Phases   []engine.PhaseTiming
+	Spans    *obs.Span
 }
 
 // validateSelectors range-checks the experiment selectors, which are
@@ -87,18 +88,18 @@ func execute(s System, x experiment, p Params) (report, error) {
 }
 
 // runOn executes one experiment on the given pristine engine: the kind's
-// body, then the shared tail — total time, energy, DRAM counters and the
-// step timeline, plus, under Params.Obs, the collected metrics, the phase
-// timeline and the span tree. The returned report aliases no engine state
+// body, then the shared tail — the output check, total time, energy, DRAM
+// counters and the step timeline, plus, under Params.Obs, the collected
+// metrics, the phase timeline and the span tree. The returned report aliases no engine state
 // that outlives the run's release: Reset replaces (rather than truncates)
 // the step, phase and exchange slices, so the report's views stay intact
 // after the engine is recycled.
 func runOn(e *engine.Engine, s System, x experiment, p Params) (report, error) {
-	res, err := x.body(e, s, p)
+	res, chk, err := x.body(e, s, p)
 	if err != nil {
 		return nil, err
 	}
-	m := measurement{TotalNs: e.TotalNs(), Energy: e.Energy(p.Energy), DRAM: e.DRAMStats(), Steps: e.Steps()}
+	m := measurement{Verified: verifyOutput(chk), TotalNs: e.TotalNs(), Energy: e.Energy(p.Energy), DRAM: e.DRAMStats(), Steps: e.Steps()}
 	if p.Obs != nil {
 		e.CollectObs(p.Obs)
 		collectEnergy(p.Obs, m.Energy)

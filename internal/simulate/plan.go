@@ -143,16 +143,16 @@ func dimRelation(n int) *tuple.Relation {
 func (pl Plan) selector() (string, int, int) { return "Plan", int(pl), int(numPlans) }
 
 // body implements experiment: it places the plan's base tables, compiles
-// and runs the plan, and checks its output against the composed operator
-// references.
-func (pl Plan) body(e *engine.Engine, s System, p Params) (report, error) {
+// and runs the plan, and returns the check of its output against the
+// composed operator references.
+func (pl Plan) body(e *engine.Engine, s System, p Params) (report, *outputCheck, error) {
 	opCfg := p.OperatorConfig(s)
 	res := &PlanResult{System: s, Plan: pl}
 
 	// Build the logical tree and the composed reference for each shape.
 	var root plan.Node
-	var want []tuple.Tuple // expected output multiset
-	ordered := false       // final stage is a Sort → check global order too
+	var want tuple.Digest // digest of the expected output
+	ordered := false      // final stage is a Sort → check global order too
 
 	table := func(label string, rel *tuple.Relation) (*plan.Table, error) {
 		regions, err := place(e, rel)
@@ -166,25 +166,25 @@ func (pl Plan) body(e *engine.Engine, s System, p Params) (report, error) {
 	case PlanFilterSort:
 		rel, err := streamInput("filter-in", p)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		needle, _ := workload.ScanTarget(rel, p.Seed+1)
 		t, err := table("s", rel)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		root = &plan.Sort{In: &plan.Filter{In: t, Needle: needle}}
-		want = operators.RefScan(rel.Tuples, needle)
+		want = tuple.DigestOf(operators.RefScan(rel.Tuples, needle))
 		ordered = true
 
 	case PlanSortAgg:
 		rel, err := groupInput(p)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		t, err := table("s", rel)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// The uniform generator draws keys from [0, STuples/GroupSize) —
 		// far below the configured key space — so the sort stage must
@@ -199,36 +199,36 @@ func (pl Plan) body(e *engine.Engine, s System, p Params) (report, error) {
 			ks = uint64(groups)
 		}
 		root = &plan.GroupBy{In: &plan.Sort{In: t, KeySpace: ks}}
-		want = operators.RefGroupByTuples(rel.Tuples)
+		want = refGroupByDigest(tuple.SeqOf(rel.Tuples))
 
 	case PlanJoinAgg:
 		rRel, sRel, err := joinInput(p)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		rT, err := table("r", rRel)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		sT, err := table("s", sRel)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		root = &plan.GroupBy{In: &plan.Join{R: rT, S: sT}}
-		want = operators.RefGroupByTuples(operators.RefJoin(rRel.Tuples, sRel.Tuples))
+		want = refGroupByDigest(operators.RefJoinSeq(rRel.Tuples, tuple.SeqOf(sRel.Tuples)))
 
 	case PlanJoinAggSort:
 		rRel, sRel, err := joinInput(p)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		rT, err := table("r", rRel)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		sT, err := table("s", sRel)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// Join keys live in [0, RTuples); the sort stage must range-split
 		// over that bound, not the full configured key space, or every
@@ -237,78 +237,49 @@ func (pl Plan) body(e *engine.Engine, s System, p Params) (report, error) {
 			KeySpace: uint64(p.RTuples),
 			In:       &plan.GroupBy{In: &plan.Join{R: rT, S: sT}},
 		}
-		want = operators.RefGroupByTuples(operators.RefJoin(rRel.Tuples, sRel.Tuples))
+		want = refGroupByDigest(operators.RefJoinSeq(rRel.Tuples, tuple.SeqOf(sRel.Tuples)))
 		ordered = true
 
 	case PlanStarJoinAgg:
 		rRel, sRel, err := joinInput(p)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		dRel := dimRelation(p.RTuples / 2)
 		rT, err := table("r1", rRel)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		dT, err := table("r2", dRel)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		sT, err := table("s", sRel)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		root = &plan.GroupBy{In: &plan.MultiJoin{Fact: sT, Dims: []plan.Node{rT, dT}}}
-		want = operators.RefGroupByTuples(
-			operators.RefJoin(rRel.Tuples, operators.RefJoin(dRel.Tuples, sRel.Tuples)))
+		want = refGroupByDigest(operators.RefJoinSeq(rRel.Tuples,
+			operators.RefJoinSeq(dRel.Tuples, tuple.SeqOf(sRel.Tuples))))
 
 	default:
-		return nil, fmt.Errorf("simulate: unknown plan %v", pl)
+		return nil, nil, fmt.Errorf("simulate: unknown plan %v", pl)
 	}
 
 	r, err := plan.RunWith(e, opCfg, root, plan.Options{NoFusion: p.NoFusion})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res.Elisions = r.Elisions
 	res.Stages = r.Stages
-	res.Verified = tuple.SameMultiset(r.Tuples(), want)
-	if ordered && res.Verified {
-		res.Verified = verifyOrdered(r.Ordered, want)
-	}
-	return res, nil
+	return res, &outputCheck{out: r.Out, want: want, sorted: r.Ordered, ordered: ordered}, nil
 }
 
 // record implements report.
 func (r *PlanResult) record(m measurement) {
+	r.Verified = m.Verified
 	r.TotalNs, r.Energy, r.DRAM = m.TotalNs, m.Energy, m.DRAM
 	r.Steps, r.Phases, r.Spans = m.Steps, m.Phases, m.Spans
-}
-
-// verifyOrdered checks bucket-local sortedness, global range order, and
-// multiset equality with the expected output, for a Sort's or a plan's
-// sorted buckets.
-func verifyOrdered(sorted []*engine.Region, want []tuple.Tuple) bool {
-	if sorted == nil {
-		return false
-	}
-	var got []tuple.Tuple
-	var last tuple.Key
-	for _, b := range sorted {
-		for i := 1; i < b.Len(); i++ {
-			if b.Tuples[i].Key < b.Tuples[i-1].Key {
-				return false
-			}
-		}
-		if len(got) > 0 && b.Len() > 0 && b.Tuples[0].Key < last {
-			return false
-		}
-		if b.Len() > 0 {
-			last = b.Tuples[b.Len()-1].Key
-		}
-		got = append(got, b.Tuples...)
-	}
-	return tuple.SameMultiset(got, want)
 }
 
 // planOperator is the manifest's Operator string for a plan run: the plan

@@ -152,87 +152,87 @@ func Run(s System, op Operator, p Params) (*Result, error) {
 func (op Operator) selector() (string, int, int) { return "Operator", int(op), int(numOperators) }
 
 // body implements experiment: it places the operator's inputs, runs the
-// operator and checks its output against the reference.
-func (op Operator) body(e *engine.Engine, s System, p Params) (report, error) {
+// operator and returns the check of its output against the reference.
+func (op Operator) body(e *engine.Engine, s System, p Params) (report, *outputCheck, error) {
 	opCfg := p.OperatorConfig(s)
 	res := &Result{System: s, Operator: op}
+	var chk *outputCheck
 
 	switch op {
 	case OpScan:
 		rel, err := streamInput("scan-in", p)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		needle, want := workload.ScanTarget(rel, p.Seed+1)
 		inputs, err := place(e, rel)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		r, err := operators.Scan(e, opCfg, inputs, needle)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		res.ProbeNs = r.ProbeNs
-		res.Verified = r.Matches == want &&
-			tuple.SameMultiset(operators.Gather(r.Out), operators.RefScan(rel.Tuples, needle))
+		chk = &outputCheck{out: r.Out, want: tuple.DigestOf(operators.RefScan(rel.Tuples, needle)), miscount: r.Matches != want}
 
 	case OpSort:
 		rel, err := streamInput("sort-in", p)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		inputs, err := place(e, rel)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		r, err := operators.Sort(e, opCfg, inputs)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		res.PartitionNs, res.ProbeNs = r.PartitionNs, r.ProbeNs
-		res.Verified = verifyOrdered(r.Sorted, rel.Tuples)
+		chk = &outputCheck{out: r.Sorted, want: tuple.DigestOf(rel.Tuples), sorted: r.Sorted, ordered: true}
 		res.DistBWPerVaultGBs = distBW(r.Partition, e.NumVaults())
 
 	case OpGroupBy:
 		rel, err := groupInput(p)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		inputs, err := place(e, rel)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		r, err := operators.GroupBy(e, opCfg, inputs)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		res.PartitionNs, res.ProbeNs = r.PartitionNs, r.ProbeNs
-		res.Verified = tuple.SameMultiset(operators.Gather(r.Out), operators.RefGroupByTuples(rel.Tuples))
+		chk = &outputCheck{out: r.Out, want: refGroupByDigest(tuple.SeqOf(rel.Tuples))}
 		res.DistBWPerVaultGBs = distBW(r.Partition, e.NumVaults())
 
 	case OpJoin:
 		rRel, sRel, err := joinInput(p)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		rIn, err := place(e, rRel)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		sIn, err := place(e, sRel)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		r, err := operators.Join(e, opCfg, rIn, sIn)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		res.PartitionNs, res.ProbeNs = r.PartitionNs, r.ProbeNs
-		res.Verified = tuple.SameMultiset(operators.Gather(r.Out), operators.RefJoin(rRel.Tuples, sRel.Tuples))
+		chk = &outputCheck{out: r.Out, want: tuple.DigestOfSeq(operators.RefJoinSeq(rRel.Tuples, tuple.SeqOf(sRel.Tuples)))}
 		res.DistBWPerVaultGBs = distBW(r.SPartition, e.NumVaults())
 
 	default:
-		return nil, fmt.Errorf("simulate: unknown operator %v", op)
+		return nil, nil, fmt.Errorf("simulate: unknown operator %v", op)
 	}
 
 	// The probe phase is every step after the partition phase; for Scan,
@@ -240,11 +240,12 @@ func (op Operator) body(e *engine.Engine, s System, p Params) (report, error) {
 	if res.ProbeNs > 0 {
 		res.ProbeBWPerVaultGBs = probePhaseBW(e.Steps(), res.PartitionNs, e.NumVaults())
 	}
-	return res, nil
+	return res, chk, nil
 }
 
 // record implements report.
 func (r *Result) record(m measurement) {
+	r.Verified = m.Verified
 	r.TotalNs, r.Energy, r.DRAM = m.TotalNs, m.Energy, m.DRAM
 	r.Steps, r.Phases, r.Spans = m.Steps, m.Phases, m.Spans
 }

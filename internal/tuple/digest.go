@@ -52,6 +52,27 @@ func DigestOf(ts []Tuple) Digest {
 	return d
 }
 
+// Seq is a tuple stream: calling it hands each tuple to yield, in order.
+// A stream composed from other streams (a join's matches fed to a
+// group-by) never holds its tuples all at once, as a slice would.
+type Seq func(yield func(Tuple))
+
+// SeqOf streams the tuples of a slice.
+func SeqOf(ts []Tuple) Seq {
+	return func(yield func(Tuple)) {
+		for _, t := range ts {
+			yield(t)
+		}
+	}
+}
+
+// DigestOfSeq is DigestOf over a stream.
+func DigestOfSeq(s Seq) Digest {
+	var d Digest
+	s(d.Add)
+	return d
+}
+
 // SameMultiset reports whether a and b hold the same tuples irrespective
 // of order (probabilistically, via digests).
 func SameMultiset(a, b []Tuple) bool {
