@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race race-smoke fuzz bench bench-smoke bench-baseline bench-guard bench-compare serve-smoke staticcheck ci
+.PHONY: build test vet race race-smoke fuzz bench-smoke bench-baseline bench-guard bench-compare serve-smoke staticcheck ci
 
 build:
 	$(GO) build ./...
@@ -47,42 +47,11 @@ fuzz:
 	$(GO) test -fuzz=FuzzRadixRoundTrip -fuzztime=10s ./internal/operators/
 	$(GO) test -run='^$$' -fuzz=FuzzRunNoPanic -fuzztime=30s ./internal/simulate/
 
-# Operator benchmarks (bulk fast path vs per-tuple reference), the host worker-pool scaling sweep, and the fused-vs-staged
-# query-plan benchmarks, converted to a benchstat-compatible JSON
-# snapshot. `jq -r '.raw[]' BENCH_PR2.json` reconstructs plain
-# `go test -bench` output for benchstat. The second step regenerates
-# BENCH_PR5.json: one compact run manifest per System × Operator through
-# the observability exporter, the structured per-run counter trajectory
-# the BENCH_* files track across PRs. The third does the same for whole
-# query plans — BENCH_PR8.json holds one manifest per
-# System × Plan × fused/staged, so the re-shuffle elisions' exchange-byte
-# savings are tracked as data.
-bench:
-	$(GO) test -bench='BenchmarkOp|BenchmarkEngineParallel|BenchmarkPlan' -benchtime=2x -run=^$$ . | $(GO) run ./cmd/benchjson > BENCH_PR2.json
-	@echo wrote BENCH_PR2.json
-	rm -f BENCH_PR5.json
-	$(GO) run ./cmd/mondrian-bench -small -manifest BENCH_PR5.json
-	@echo wrote BENCH_PR5.json
-	rm -f BENCH_PR8.json
-	$(GO) run ./cmd/mondrian-bench -small -plans -manifest BENCH_PR8.json
-	@echo wrote BENCH_PR8.json
-	rm -f BENCH_PR9.json
-	$(GO) run ./cmd/mondrian-bench -qps BENCH_PR9.json
-	@echo wrote BENCH_PR9.json
-	$(GO) test -bench=BenchmarkObsWindowOverhead -benchtime=20000x -run=^$$ . | $(GO) run ./cmd/benchjson > BENCH_PR10.json
-	@echo wrote BENCH_PR10.json
-
-# One-iteration smoke pass over every benchmark (CI keeps this fast),
-# plus a fresh manifest for the CI artifact upload.
+# One-iteration smoke pass over every benchmark (CI keeps this fast).
+# Timing is not asserted here: perfbench (BENCHMARK.json) is the
+# benchmark of record and bench-guard the regression gate.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
-	rm -f BENCH_PR5.json
-	$(GO) run ./cmd/mondrian-bench -small -manifest BENCH_PR5.json
-	rm -f BENCH_PR8.json
-	$(GO) run ./cmd/mondrian-bench -small -plans -manifest BENCH_PR8.json
-	rm -f BENCH_PR9.json
-	$(GO) run ./cmd/mondrian-bench -qps BENCH_PR9.json -qps-requests 64
-	$(GO) test -bench=BenchmarkObsWindowOverhead -benchtime=2000x -run=^$$ . | $(GO) run ./cmd/benchjson > BENCH_PR10.json
 
 # Re-record the benchmark baseline (run on the reference machine;
 # benchguard compares ns/op only on the same CPU model, and bytes/op and

@@ -714,9 +714,9 @@ func servingParams() simulate.Params {
 // BenchmarkPooledRun measures one scan query under the two engine
 // lifecycles the serving tier can use: drawing a reset engine from the
 // shared pool (the default) versus constructing a fresh engine per run
-// (NoPool). The gap is the amortized-construction win that BENCH_PR9
-// records end to end; TestResetEquivalence pins that the simulated
-// numbers are byte-identical either way.
+// (NoPool). The gap is the amortized-construction win that the serving
+// tier sees end to end (DESIGN.md §16); TestResetEquivalence pins that
+// the simulated numbers are byte-identical either way.
 func BenchmarkPooledRun(b *testing.B) {
 	for _, mode := range []struct {
 		name   string

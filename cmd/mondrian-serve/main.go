@@ -195,7 +195,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 // driveParams is the workload's per-request shape: the paper's full
 // system geometries with a dataset small enough that the daemon turns
-// over many requests per second (the same regime mondrian-bench -qps
+// over many requests per second (the same regime BenchmarkServeQPS
 // measures).
 func driveParams() simulate.Params {
 	p := simulate.DefaultParams()

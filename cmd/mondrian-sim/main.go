@@ -41,7 +41,8 @@ func main() {
 
 // customize derives a one-off system from base's registered spec with
 // the given overrides applied, registers it under a derived name, and
-// returns its handle. Zero values leave the base spec untouched.
+// returns its handle. Zero values leave the base spec untouched; an
+// override of hardware the base system does not have is an error.
 func customize(base simulate.System, topo string, l1Bytes, streamBufs int) (simulate.System, error) {
 	sp, ok := simulate.SpecOf(base)
 	if !ok {
@@ -61,11 +62,17 @@ func customize(base simulate.System, topo string, l1Bytes, streamBufs int) (simu
 		if l1Bytes < 0 {
 			return 0, fmt.Errorf("negative L1 size %d bytes", l1Bytes)
 		}
+		if sp.Engine.L1.SizeBytes == 0 {
+			return 0, fmt.Errorf("-l1-bytes has no effect on %s: its units have no L1", base)
+		}
 		sp.Engine.L1.SizeBytes = l1Bytes
 	}
 	if streamBufs != 0 {
 		if streamBufs < 0 {
 			return 0, fmt.Errorf("negative stream-buffer count %d", streamBufs)
+		}
+		if !sp.Engine.UseStreams {
+			return 0, fmt.Errorf("-stream-buffers has no effect on %s: its units have no stream buffers", base)
 		}
 		sp.Engine.StreamBuffers = streamBufs
 	}
@@ -145,6 +152,9 @@ func run() error {
 	p.NoFusion = *staged
 	p.NoPool = *noPool
 	if *cpuCores != 0 {
+		if sp, _ := simulate.SpecOf(sys); !sp.HostCores {
+			return fmt.Errorf("-cpu-cores has no effect on %s: it has no host cores", sys)
+		}
 		p.CPUCores = *cpuCores
 	}
 

@@ -45,9 +45,9 @@ func assertCleanFailure(t *testing.T, bin string, args ...string) string {
 	return msg
 }
 
-// TestCLIRejectsCrashReproducers pins the four formerly-crashing
-// invocations from the issue: each must fail with a clean one-line
-// diagnostic naming the offending parameter.
+// TestCLIRejectsCrashReproducers pins invocations that used to crash or
+// that set an override the system has no hardware for: each must fail
+// with a clean one-line diagnostic naming the offending parameter.
 func TestCLIRejectsCrashReproducers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the CLI")
@@ -61,6 +61,9 @@ func TestCLIRejectsCrashReproducers(t *testing.T) {
 		{[]string{"-op", "join", "-r-tuples", "0"}, "RTuples"},
 		{[]string{"-op", "groupby", "-group-size", "0"}, "GroupSize"},
 		{[]string{"-op", "scan", "-vault-cap", "0"}, "VaultCapBytes"},
+		{[]string{"-system", "nmp", "-op", "scan", "-stream-buffers", "4"}, "-stream-buffers has no effect on NMP"},
+		{[]string{"-system", "mondrian", "-op", "sort", "-l1-bytes", "1024"}, "-l1-bytes has no effect on Mondrian"},
+		{[]string{"-system", "nmp", "-op", "sort", "-cpu-cores", "3"}, "-cpu-cores has no effect on NMP"},
 	}
 	for _, tc := range cases {
 		msg := assertCleanFailure(t, bin, tc.args...)

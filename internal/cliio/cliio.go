@@ -25,21 +25,11 @@ const Stdout = "-"
 // return value, so a full disk cannot masquerade as success. Path "-"
 // writes to stdout (flushed, not closed).
 func WriteFile(path string, fn func(io.Writer) error) error {
-	return openAndWrite(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, fn)
-}
-
-// AppendFile is WriteFile but appends to path instead of truncating it,
-// for accumulating record-per-line artifacts across runs.
-func AppendFile(path string, fn func(io.Writer) error) error {
-	return openAndWrite(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, fn)
-}
-
-func openAndWrite(path string, flag int, fn func(io.Writer) error) error {
 	if path == Stdout {
 		bw := bufio.NewWriter(os.Stdout)
 		return errors.Join(fn(bw), bw.Flush())
 	}
-	f, err := os.OpenFile(path, flag, 0o644)
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}

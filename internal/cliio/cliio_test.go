@@ -34,26 +34,6 @@ func TestWriteFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAppendFileAccumulates(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "log.jsonl")
-	for _, line := range []string{"one\n", "two\n"} {
-		line := line
-		if err := AppendFile(path, func(w io.Writer) error {
-			_, err := io.WriteString(w, line)
-			return err
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(b) != "one\ntwo\n" {
-		t.Fatalf("content = %q, want %q", b, "one\ntwo\n")
-	}
-}
-
 func TestWriteFilePropagatesFnError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.txt")
 	sentinel := errors.New("boom")

@@ -62,12 +62,8 @@ func (a Arch) String() string {
 // Config assembles one evaluated system (paper Table 3).
 type Config struct {
 	// Arch selects one of the three canonical compositions (archRows in
-	// spec.go). Ignored when Spec is set.
-	Arch Arch
-	// Spec, when non-nil, declares the system composition directly —
-	// the extension point for variants the Arch shorthand cannot
-	// express (see SystemSpec).
-	Spec       *SystemSpec
+	// spec.go).
+	Arch       Arch
 	Core       cores.Model
 	CPUCores   int  // host-core compositions only
 	Permutable bool // vault controllers honor permutable stores
@@ -313,8 +309,8 @@ type Engine struct {
 	skewStats   []skewStat
 }
 
-// New builds an engine from a configuration: the system spec (Config.Spec,
-// or the canonical composition of Config.Arch) is resolved once, and the
+// New builds an engine from a configuration: the system spec (the
+// canonical composition of Config.Arch) is resolved once, and the
 // units are assembled from it declaratively — each feature flag adds one
 // piece of per-unit hardware, with no per-architecture construction code.
 func New(cfg Config) (*Engine, error) {

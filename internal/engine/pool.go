@@ -50,17 +50,15 @@ func NewPool(perKey int) *Pool {
 }
 
 // poolKey canonicalizes a configuration into the pool's map key: the
-// resolved spec plus the config with the two pointer fields zeroed — Spec
-// (already folded into the resolved spec) and Obs (per-run binding).
-// Every remaining Config field is a plain value struct, so %+v is a
-// complete, collision-free rendering.
+// resolved spec plus the config with its one pointer field, Obs (a
+// per-run binding), zeroed. Every remaining Config field is a plain
+// value struct, so %+v is a complete, collision-free rendering.
 func poolKey(cfg Config) (string, error) {
 	sp, err := cfg.resolveSpec()
 	if err != nil {
 		return "", err
 	}
 	flat := cfg
-	flat.Spec = nil
 	flat.Obs = nil
 	return fmt.Sprintf("%+v|%+v", sp, flat), nil
 }

@@ -6,7 +6,7 @@ import "fmt"
 // names the memory path a system's accesses take and the per-unit
 // hardware each compute unit carries, and New assembles engines from it
 // without any architecture switches. The three paper architectures are
-// rows of archRows; custom compositions set Config.Spec directly.
+// the rows of archRows.
 
 // PathKind names a registered memory-path implementation (mempath.go).
 type PathKind int
@@ -115,14 +115,9 @@ var archRows = map[Arch]archRow{
 	}, streamToggle: true},
 }
 
-// resolveSpec produces the composition New assembles from: Config.Spec
-// verbatim when set, otherwise the archRows row for Config.Arch with the
-// historical feature toggles applied.
+// resolveSpec produces the composition New assembles from: the archRows
+// row for Config.Arch with the historical feature toggles applied.
 func (c Config) resolveSpec() (SystemSpec, error) {
-	if c.Spec != nil {
-		sp := *c.Spec
-		return sp, sp.validate()
-	}
 	row, ok := archRows[c.Arch]
 	if !ok {
 		return SystemSpec{}, fmt.Errorf("engine: unknown architecture %v", c.Arch)

@@ -64,7 +64,6 @@ func TestResolveSpecFromArch(t *testing.T) {
 // layer: unregistered memory paths, unknown architectures, and
 // compositions the registered paths refuse.
 func TestSpecValidationErrors(t *testing.T) {
-	base := nmpConfig(false)
 	cases := []struct {
 		name string
 		spec SystemSpec
@@ -77,14 +76,12 @@ func TestSpecValidationErrors(t *testing.T) {
 		{"stream path with L1", SystemSpec{Path: PathStream, UnitL1: true}, "cacheless"},
 	}
 	for _, tc := range cases {
-		cfg := base
-		cfg.Spec = &tc.spec
-		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: New error = %v, want one containing %q", tc.name, err, tc.want)
+		if err := tc.spec.validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: validate error = %v, want one containing %q", tc.name, err, tc.want)
 		}
 	}
 
-	cfg := base
+	cfg := nmpConfig(false)
 	cfg.Arch = Arch(7)
 	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "unknown architecture") {
 		t.Errorf("unknown arch: New error = %v", err)
@@ -106,16 +103,16 @@ func TestConfigRejectsNegativeKnobs(t *testing.T) {
 	}
 }
 
-// TestCustomSpecAssembly builds an engine from an explicit Config.Spec —
-// a cacheless streaming system with a custom stream-buffer count — and
-// checks the assembled units match the declaration.
+// TestCustomSpecAssembly builds a Mondrian engine with a custom
+// stream-buffer count and checks the assembled units match the resolved
+// composition: cacheless, with an object buffer and four stream buffers.
 func TestCustomSpecAssembly(t *testing.T) {
 	cfg := mondrianConfig()
-	cfg.Spec = &SystemSpec{Path: PathStream, ObjectBuf: true, StreamBufs: true}
 	cfg.StreamBuffers = 4
 	e := mustEngine(t, cfg)
-	if e.Spec() != *cfg.Spec {
-		t.Fatalf("engine.Spec() = %+v, want %+v", e.Spec(), *cfg.Spec)
+	want := SystemSpec{Path: PathStream, ObjectBuf: true, StreamBufs: true}
+	if e.Spec() != want {
+		t.Fatalf("engine.Spec() = %+v, want %+v", e.Spec(), want)
 	}
 	for _, u := range e.Units() {
 		if u.L1 != nil || u.Streams == nil || u.ObjBuf == nil || u.Vault == nil {

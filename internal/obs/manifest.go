@@ -126,18 +126,6 @@ func (m Manifest) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// WriteJSONLine marshals the manifest compactly on a single line — the
-// append-friendly form mondrian-bench uses for BENCH_PR5.json.
-func (m Manifest) WriteJSONLine(w io.Writer) error {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
-
 // NewHostInfo captures the current process's build/runtime identity.
 // Timestamp and WallNs are left for the caller (they need a clock).
 func NewHostInfo(parallelism int) HostInfo {

@@ -318,12 +318,4 @@ func TestManifestJSONRoundTrip(t *testing.T) {
 	if back.Schema != ManifestSchema || back.Metrics.Counters["c"] != 7 {
 		t.Fatalf("round trip lost data: %+v", back)
 	}
-
-	buf.Reset()
-	if err := m.WriteJSONLine(&buf); err != nil {
-		t.Fatalf("WriteJSONLine: %v", err)
-	}
-	if n := bytes.Count(buf.Bytes(), []byte("\n")); n != 1 || buf.Bytes()[buf.Len()-1] != '\n' {
-		t.Fatalf("WriteJSONLine must emit exactly one newline-terminated line")
-	}
 }

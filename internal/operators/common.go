@@ -72,11 +72,6 @@ func (c Config) probeTuples() int {
 // isSIMD reports whether the engine's compute units have SIMD datapaths.
 func isSIMD(e *engine.Engine) bool { return e.Config().Core.SIMDBits > 0 }
 
-// isStreamed reports whether reads flow through hardware stream buffers.
-func isStreamed(e *engine.Engine) bool {
-	return e.Config().Arch == engine.Mondrian && e.Config().UseStreams
-}
-
 // streamed adapts a step profile for stream-buffer-fed execution: the
 // binding prefetcher hides load latency entirely, so no stall overlap
 // modeling applies. (Issue-rate effects stay in the profile's DepIPC.)
@@ -103,9 +98,9 @@ func mergeProfile(e *engine.Engine, cm CostModel) engine.StepProfile {
 }
 
 // probeProfile picks the step profile for a probe loop, adapting it when
-// the architecture streams.
+// the units read through hardware stream buffers.
 func probeProfile(e *engine.Engine, base engine.StepProfile) engine.StepProfile {
-	if isStreamed(e) {
+	if e.Spec().StreamBufs {
 		return streamed(base)
 	}
 	return base
