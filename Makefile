@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race race-smoke fuzz bench-smoke bench-baseline bench-guard bench-compare serve-smoke staticcheck ci
+.PHONY: build test vet fmt-check race race-smoke fuzz bench-smoke bench-baseline bench-guard bench-compare serve-smoke staticcheck ci
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,11 @@ test: build
 
 vet:
 	$(GO) vet ./...
+
+# Fail when any tracked Go file is not gofmt-formatted.
+fmt-check:
+	@out=$$(git ls-files -z '*.go' | xargs -0 gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # Staticcheck over the whole module. Uses an installed binary when one is
 # on PATH; otherwise runs it through the module cache (needs network the
@@ -105,6 +110,8 @@ bench-compare:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
-# ci mirrors .github/workflows/ci.yml: tier-1 build+vet+test, then the
-# race pass and the focused race smoke.
-ci: test vet race race-smoke
+# ci mirrors .github/workflows/ci.yml: tier-1 format check, build, vet
+# and test, the race pass and the focused race smoke, then the perfbench
+# module's tests (its own module, so `go test ./...` skips it).
+ci: fmt-check test vet race race-smoke
+	cd perfbench && $(GO) test ./...

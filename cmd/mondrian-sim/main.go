@@ -62,7 +62,7 @@ func customize(base simulate.System, topo string, l1Bytes, streamBufs int) (simu
 		if l1Bytes < 0 {
 			return 0, fmt.Errorf("negative L1 size %d bytes", l1Bytes)
 		}
-		if sp.Engine.L1.SizeBytes == 0 {
+		if sp.Engine.Arch == engine.Mondrian {
 			return 0, fmt.Errorf("-l1-bytes has no effect on %s: its units have no L1", base)
 		}
 		sp.Engine.L1.SizeBytes = l1Bytes
@@ -71,7 +71,7 @@ func customize(base simulate.System, topo string, l1Bytes, streamBufs int) (simu
 		if streamBufs < 0 {
 			return 0, fmt.Errorf("negative stream-buffer count %d", streamBufs)
 		}
-		if !sp.Engine.UseStreams {
+		if sp.Engine.Arch != engine.Mondrian {
 			return 0, fmt.Errorf("-stream-buffers has no effect on %s: its units have no stream buffers", base)
 		}
 		sp.Engine.StreamBuffers = streamBufs
@@ -152,7 +152,7 @@ func run() error {
 	p.NoFusion = *staged
 	p.NoPool = *noPool
 	if *cpuCores != 0 {
-		if sp, _ := simulate.SpecOf(sys); !sp.HostCores {
+		if sp, _ := simulate.SpecOf(sys); sp.Engine.Arch != engine.CPU {
 			return fmt.Errorf("-cpu-cores has no effect on %s: it has no host cores", sys)
 		}
 		p.CPUCores = *cpuCores

@@ -20,7 +20,7 @@ func buildCLI(t *testing.T) string {
 
 // assertCleanFailure runs the binary and asserts the error contract: a
 // non-zero exit and exactly one stderr line that reads as a diagnostic —
-// no stack trace, no goroutine dump.
+// no stack trace, no goroutine dump, no internal error.
 func assertCleanFailure(t *testing.T, bin string, args ...string) string {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
@@ -37,7 +37,7 @@ func assertCleanFailure(t *testing.T, bin string, args ...string) string {
 	if strings.Count(msg, "\n") != 1 || !strings.HasSuffix(msg, "\n") {
 		t.Fatalf("%v stderr is not a single line:\n%s", args, msg)
 	}
-	for _, leak := range []string{"goroutine ", "panic:", "runtime error"} {
+	for _, leak := range []string{"goroutine ", "panic:", "runtime error", "invariant violation"} {
 		if strings.Contains(msg, leak) {
 			t.Fatalf("%v stderr leaks internals (%q):\n%s", args, leak, msg)
 		}
@@ -64,6 +64,8 @@ func TestCLIRejectsCrashReproducers(t *testing.T) {
 		{[]string{"-system", "nmp", "-op", "scan", "-stream-buffers", "4"}, "-stream-buffers has no effect on NMP"},
 		{[]string{"-system", "mondrian", "-op", "sort", "-l1-bytes", "1024"}, "-l1-bytes has no effect on Mondrian"},
 		{[]string{"-system", "nmp", "-op", "sort", "-cpu-cores", "3"}, "-cpu-cores has no effect on NMP"},
+		{[]string{"-system", "nmp", "-op", "scan", "-l1-bytes", "100"}, "engine: L1"},
+		{[]string{"-system", "cpu", "-op", "scan", "-l1-bytes", "64"}, "engine: L1"},
 	}
 	for _, tc := range cases {
 		msg := assertCleanFailure(t, bin, tc.args...)

@@ -164,7 +164,7 @@ func Run(e *engine.Engine, p Program, g *Graph, maxSupersteps int) (*Result, err
 func superstep(e *engine.Engine, p Program, g *Graph, states []int64,
 	stateRegions, edgeRegions []*engine.Region, localVerts [][]int) (bool, error) {
 	nv := e.NumVaults()
-	streamed := e.Spec().StreamBufs
+	streamed := e.StreamFed()
 
 	// Phase 1: scan local vertices+edges, stage outgoing messages.
 	type msg struct {

@@ -31,7 +31,6 @@ func testEngine(t *testing.T, arch engine.Arch, perm bool) *engine.Engine {
 		cfg.Arch = engine.Mondrian
 		cfg.Core = cores.CortexA35Mondrian()
 		cfg.Permutable = perm
-		cfg.UseStreams = true
 	}
 	e, err := engine.New(cfg)
 	if err != nil {

@@ -101,15 +101,26 @@ type Cache struct {
 	scratch RunResult
 }
 
-// New builds a cache from its configuration.
-func New(cfg Config) *Cache {
+// Validate checks that the geometry holds at least one full set.
+func (cfg Config) Validate() error {
 	if cfg.SizeBytes <= 0 || cfg.Ways <= 0 || cfg.BlockBytes <= 0 {
-		panic(fmt.Sprintf("cache: invalid config %+v", cfg))
+		return fmt.Errorf("cache: size, ways and block bytes must be positive, got %d B, %d ways, %d B blocks",
+			cfg.SizeBytes, cfg.Ways, cfg.BlockBytes)
+	}
+	if cfg.SizeBytes/(cfg.Ways*cfg.BlockBytes) == 0 {
+		return fmt.Errorf("cache: %d B holds fewer than one set of %d ways × %d B blocks",
+			cfg.SizeBytes, cfg.Ways, cfg.BlockBytes)
+	}
+	return nil
+}
+
+// New builds a cache from its configuration; it panics on a geometry
+// Validate rejects.
+func New(cfg Config) *Cache {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	nsets := cfg.SizeBytes / (cfg.Ways * cfg.BlockBytes)
-	if nsets == 0 {
-		panic("cache: fewer than one set")
-	}
 	lines := nsets * cfg.Ways
 	c := &Cache{
 		cfg: cfg, nsets: nsets, gen: 1,

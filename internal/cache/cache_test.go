@@ -196,6 +196,26 @@ func TestNewPanicsOnBadConfig(t *testing.T) {
 	New(Config{SizeBytes: 0, Ways: 1, BlockBytes: 64})
 }
 
+// TestConfigValidate pins the geometries New refuses: non-positive
+// dimensions and sizes below one full set.
+func TestConfigValidate(t *testing.T) {
+	for _, cfg := range []Config{
+		{},
+		{SizeBytes: 4096, Ways: 0, BlockBytes: 64},
+		{SizeBytes: 4096, Ways: 2, BlockBytes: -64},
+		{SizeBytes: 100, Ways: 2, BlockBytes: 64},
+	} {
+		if cfg.Validate() == nil {
+			t.Errorf("Validate(%+v) accepted an impossible geometry", cfg)
+		}
+	}
+	for _, cfg := range []Config{L1D32K(), LLC4M(), {SizeBytes: 128, Ways: 2, BlockBytes: 64}} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v", cfg, err)
+		}
+	}
+}
+
 // Property: accounting identities hold under random access streams, and a
 // re-access of the immediately preceding address always hits.
 func TestCacheInvariantsProperty(t *testing.T) {

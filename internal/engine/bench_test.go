@@ -20,7 +20,7 @@ func benchEngine(b *testing.B, cfg Config) *Engine {
 
 func BenchmarkSendPermutable(b *testing.B) {
 	cfg := Config{
-		Arch: Mondrian, Core: mondrianConfigForBench().Core, Permutable: true, UseStreams: true,
+		Arch: Mondrian, Core: mondrianConfigForBench().Core, Permutable: true,
 		Cubes: 2, VaultsPer: 4, Topology: mondrianConfigForBench().Topology,
 		Geometry: mondrianConfigForBench().Geometry, Timing: mondrianConfigForBench().Timing,
 		ObjectSize: tuple.Size, BarrierNs: 1000,

@@ -61,23 +61,23 @@ func (a Arch) String() string {
 
 // Config assembles one evaluated system (paper Table 3).
 type Config struct {
-	// Arch selects one of the three canonical compositions (archRows in
-	// spec.go).
+	// Arch selects the hardware New assembles: host cores with TLBs, an
+	// L1 and a shared LLC (CPU); one cached core per vault (NMP); or one
+	// cacheless, stream-fed unit per vault (Mondrian).
 	Arch       Arch
 	Core       cores.Model
-	CPUCores   int  // host-core compositions only
-	Permutable bool // vault controllers honor permutable stores
-	UseStreams bool // compute units read via stream buffers
-	// StreamBuffers sizes each unit's stream-buffer set (0 selects the
-	// architectural default, hmc.NumStreamBuffers).
+	CPUCores   int  // CPU only
+	Permutable bool // vault controllers honor permutable stores (NMP, Mondrian)
+	// StreamBuffers sizes each Mondrian unit's stream-buffer set (0
+	// selects the architectural default, hmc.NumStreamBuffers).
 	StreamBuffers int
 	Cubes         int
 	VaultsPer     int
 	Topology      noc.Topology
 	Geometry      dram.Geometry
 	Timing        dram.Timing
-	ObjectSize    int // permutability granularity (tuple size by default)
-	L1            cache.Config
+	ObjectSize    int          // permutability granularity (tuple size by default)
+	L1            cache.Config // CPU and NMP
 	LLC           cache.Config // CPU only
 	// BarrierNs is the fixed cost of one all-to-all MSI notification
 	// (ShuffleBegin/ShuffleEnd synchronization, §5.4).
@@ -85,9 +85,9 @@ type Config struct {
 	// Parallelism bounds the host worker pool that executes independent
 	// per-vault work (0 = GOMAXPROCS, 1 = serial). It affects wall-clock
 	// time only: simulated results are bit-identical at every setting.
-	// Host-core specs evaluate their cores in order (they share the LLC
-	// and chip mesh); there, 2 or more runs the shared-memory walk on a
-	// second goroutine during steps (llcstage.go).
+	// The CPU evaluates its cores in order (they share the LLC and chip
+	// mesh); there, 2 or more runs the shared-memory walk on a second
+	// goroutine during steps (llcstage.go).
 	Parallelism int
 	// NoBulk disables the batched run-based access fast path: operators
 	// fall back to their per-tuple reference loops and the run accessors
@@ -110,24 +110,36 @@ type Config struct {
 	// weights — independent of worker count — and parallel sections touch
 	// only index-owned state, so simulated results stay byte-identical to
 	// a skew-unaware run; only host wall-clock time and the skew_* obs
-	// metrics change. Ignored on shared-unit (host-core) specs, whose
-	// accesses are order-dependent.
+	// metrics change. Ignored on the CPU, whose cores share the LLC and
+	// so make order-dependent accesses.
 	SkewAware bool
 }
 
-// Validate checks internal consistency, including that the resolved
-// system spec names a registered memory path — a mis-declared spec is an
-// error here, never a panic mid-run.
+// Validate checks internal consistency, including every cache geometry
+// the architecture builds — an impossible configuration is an error here,
+// never a panic mid-run.
 func (c Config) Validate() error {
-	sp, err := c.resolveSpec()
-	if err != nil {
-		return err
+	if c.Arch < CPU || c.Arch > Mondrian {
+		return fmt.Errorf("engine: unknown architecture %v", c.Arch)
 	}
 	if c.Cubes <= 0 || c.VaultsPer <= 0 {
 		return fmt.Errorf("engine: need cubes and vaults, got %d×%d", c.Cubes, c.VaultsPer)
 	}
-	if sp.HostCores && c.CPUCores <= 0 {
-		return fmt.Errorf("engine: host-core systems (the CPU architecture) need CPUCores > 0")
+	if c.Arch == CPU {
+		if c.CPUCores <= 0 {
+			return fmt.Errorf("engine: the CPU architecture needs CPUCores > 0")
+		}
+		if c.Permutable {
+			return fmt.Errorf("engine: Permutable needs vault-resident units (NMP or Mondrian)")
+		}
+		if err := c.LLC.Validate(); err != nil {
+			return fmt.Errorf("engine: LLC: %w", err)
+		}
+	}
+	if c.Arch != Mondrian {
+		if err := c.L1.Validate(); err != nil {
+			return fmt.Errorf("engine: L1: %w", err)
+		}
 	}
 	if c.ObjectSize <= 0 || c.ObjectSize > hmc.ObjectBufferBytes {
 		return fmt.Errorf("engine: object size %d outside (0,%d]", c.ObjectSize, hmc.ObjectBufferBytes)
@@ -262,15 +274,14 @@ type RunTracer interface {
 // Engine is one configured system instance.
 type Engine struct {
 	cfg    Config
-	spec   SystemSpec // resolved composition (spec.go)
-	path   memPath    // the units' memory-path implementation
+	path   memPath // the units' memory-path implementation (mempath.go)
 	Sys    *hmc.System
-	llc    *cache.Cache // shared LLC (host-core specs only)
-	mesh   *noc.Mesh    // host-side tile mesh (host-core specs only)
+	llc    *cache.Cache // shared LLC (CPU only)
+	mesh   *noc.Mesh    // host-side tile mesh (CPU only)
 	tracer Tracer
 
-	// llcq is the second stage of the host-core memory path
-	// (llcstage.go), built on first use.
+	// llcq is the second stage of the CPU memory path (llcstage.go),
+	// built on first use.
 	llcq *llcStage
 
 	// Shift/mask form of the block-interleaved NUCA bank hash
@@ -309,28 +320,25 @@ type Engine struct {
 	skewStats   []skewStat
 }
 
-// New builds an engine from a configuration: the system spec (the
-// canonical composition of Config.Arch) is resolved once, and the
-// units are assembled from it declaratively — each feature flag adds one
-// piece of per-unit hardware, with no per-architecture construction code.
+// New builds an engine from a configuration, assembling the hardware
+// Config.Arch names: the CPU's host cores with TLBs, L1s, a shared LLC and
+// its chip mesh; NMP's per-vault cores with L1s (and object buffers when
+// permutable); Mondrian's cacheless per-vault units with object and stream
+// buffers.
 func New(cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	spec, err := cfg.resolveSpec()
-	if err != nil {
-		return nil, err
-	}
+	cpu := cfg.Arch == CPU
 	e := &Engine{
 		cfg:  cfg,
-		spec: spec,
-		path: memPaths[spec.Path],
+		path: memPathOf(cfg.Arch),
 		Sys:  hmc.NewSystem(cfg.Cubes, cfg.VaultsPer, cfg.Topology, cfg.Geometry, cfg.Timing),
 	}
-	if spec.SharedLLC {
+	n := e.Sys.NumVaults()
+	if cpu {
+		n = cfg.CPUCores
 		e.llc = cache.New(cfg.LLC)
-	}
-	if spec.HostCores {
 		e.mesh = noc.NewMesh(4, 4) // 16-tile host chip (Fig. 5)
 		if bb, tiles := cfg.L1.BlockBytes, e.mesh.Tiles(); bb > 0 && bb&(bb-1) == 0 && tiles&(tiles-1) == 0 {
 			for b := bb; b > 1; b >>= 1 {
@@ -339,34 +347,28 @@ func New(cfg Config) (*Engine, error) {
 			e.nucaMask = int64(tiles - 1)
 		}
 	}
-	n := cfg.CPUCores
-	if !spec.HostCores {
-		n = e.Sys.NumVaults()
-	}
 	for i := 0; i < n; i++ {
 		u := &Unit{ID: i, engine: e, path: e.path}
-		if spec.HostCores {
+		if cpu {
 			u.tile = i % e.mesh.Tiles()
-		} else {
-			u.Vault = e.Sys.Vault(i)
-		}
-		if spec.UnitL1 {
-			u.L1 = cache.New(cfg.L1)
-		}
-		if spec.TLB {
 			// 64-entry L1 TLB and 1024-entry L2 TLB over 4 KB pages
 			// (Cortex-A57-class translation hardware).
 			u.tlbL1 = cache.New(cache.Config{SizeBytes: 64 * pageBytes, Ways: 4, BlockBytes: pageBytes})
 			u.tlbL2 = cache.New(cache.Config{SizeBytes: 1024 * pageBytes, Ways: 8, BlockBytes: pageBytes})
+		} else {
+			u.Vault = e.Sys.Vault(i)
 		}
-		if spec.ObjectBuf {
+		if cfg.Arch != Mondrian {
+			u.L1 = cache.New(cfg.L1)
+		}
+		if cfg.Arch == Mondrian || (cfg.Arch == NMP && cfg.Permutable) {
 			b, err := hmc.NewObjectBuffer(cfg.ObjectSize)
 			if err != nil {
 				return nil, err
 			}
 			u.ObjBuf = b
 		}
-		if spec.StreamBufs {
+		if cfg.Arch == Mondrian {
 			u.Streams = hmc.NewStreamBufferSetN(u.Vault, cfg.StreamBuffers)
 		}
 		e.units = append(e.units, u)
@@ -376,6 +378,10 @@ func New(cfg Config) (*Engine, error) {
 
 // Config returns the engine's configuration.
 func (e *Engine) Config() Config { return e.cfg }
+
+// StreamFed reports whether the units read through hardware stream
+// buffers (the Mondrian architecture).
+func (e *Engine) StreamFed() bool { return e.cfg.Arch == Mondrian }
 
 // Units returns the compute units (16 CPU cores or one per vault).
 func (e *Engine) Units() []*Unit { return e.units }
@@ -418,9 +424,9 @@ func (e *Engine) allocRegion(vaultID int, ts []tuple.Tuple, capTuples int) (*Reg
 }
 
 // UnitForVault returns the compute unit co-located with vault v
-// (vault-resident specs — the NMP and Mondrian architectures).
+// (the vault-resident NMP and Mondrian architectures).
 func (e *Engine) UnitForVault(v int) *Unit {
-	if e.spec.HostCores {
+	if e.cfg.Arch == CPU {
 		panic("engine: host cores are not vault-resident")
 	}
 	return e.units[v]
@@ -435,7 +441,7 @@ func (e *Engine) TotalNs() float64 { return e.totalNs }
 // Steps returns the timing of every completed step.
 func (e *Engine) Steps() []StepTiming { return e.steps }
 
-// LLC returns the shared last-level cache (nil on specs without one),
+// LLC returns the shared last-level cache (nil off the CPU),
 // with every pending request retired.
 func (e *Engine) LLC() *cache.Cache {
 	e.drainLLC()

@@ -45,8 +45,7 @@ func nmpConfig(perm bool) Config {
 func mondrianConfig() Config {
 	return Config{
 		Arch: Mondrian, Core: cores.CortexA35Mondrian(), Permutable: true,
-		UseStreams: true,
-		Cubes:      2, VaultsPer: 4, Topology: noc.FullyConnected,
+		Cubes: 2, VaultsPer: 4, Topology: noc.FullyConnected,
 		Geometry: smallGeom(), Timing: dram.HMCTiming(),
 		ObjectSize: tuple.Size,
 		BarrierNs:  1000,

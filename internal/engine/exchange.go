@@ -64,8 +64,8 @@ type Outbox struct {
 // shuffle announced in ShuffleBegin: perSource[src][dst] tuples will be
 // sent from src to dst, and each staging list is sized to its count.
 func (e *Engine) NewExchange(dests []*Region, perSource [][]int64) *Exchange {
-	if e.spec.HostCores {
-		panic("engine: Exchange is for vault-resident specs; host cores shuffle through the cache hierarchy")
+	if e.cfg.Arch == CPU {
+		panic("engine: Exchange is for vault-resident units; host cores shuffle through the cache hierarchy")
 	}
 	if len(dests) != e.NumVaults() {
 		panic(fmt.Sprintf("engine: %d destination regions for %d vaults", len(dests), e.NumVaults()))

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
 	"github.com/ecocloud-go/mondrian/internal/cache"
 	"github.com/ecocloud-go/mondrian/internal/hmc"
 	"github.com/ecocloud-go/mondrian/internal/noc"
@@ -30,9 +28,18 @@ type memPath interface {
 	// the demand path (write-allocate caches) instead of direct remote
 	// vault writes.
 	demandShuffle() bool
-	// check validates that a spec composition provides the hardware
-	// this path dereferences (caches, TLBs, home vaults).
-	check(sp SystemSpec) error
+}
+
+// memPathOf picks the memory path an architecture's units access through.
+func memPathOf(a Arch) memPath {
+	switch a {
+	case CPU:
+		return cpuPath{}
+	case NMP:
+		return cachedVaultPath{}
+	default:
+		return streamPath{}
+	}
 }
 
 // --- cpuPath: TLB → L1 → NUCA mesh → LLC → SerDes → vault ---------------
@@ -42,13 +49,6 @@ type memPath interface {
 // NUCA LLC across the chip mesh; LLC misses cross the star SerDes into
 // the owning cube.
 type cpuPath struct{}
-
-func (cpuPath) check(sp SystemSpec) error {
-	if !sp.HostCores || !sp.UnitL1 || !sp.SharedLLC || !sp.TLB {
-		return fmt.Errorf("engine: the cpu path needs host cores with TLBs, an L1 and a shared LLC")
-	}
-	return nil
-}
 
 func (cpuPath) access(u *Unit, addr int64, size int, write bool) {
 	block := int64(u.L1.BlockBytes())
@@ -87,13 +87,6 @@ func (cpuPath) demandShuffle() bool { return true }
 // remote vaults across the logic-layer mesh and SerDes).
 type cachedVaultPath struct{}
 
-func (cachedVaultPath) check(sp SystemSpec) error {
-	if sp.HostCores || !sp.UnitL1 {
-		return fmt.Errorf("engine: the cached-vault path needs vault-resident units with an L1")
-	}
-	return nil
-}
-
 func (cachedVaultPath) access(u *Unit, addr int64, size int, write bool) {
 	block := int64(u.L1.BlockBytes())
 	end := addr + int64(size)
@@ -124,13 +117,6 @@ func (cachedVaultPath) demandShuffle() bool { return false }
 // at the owning vault (reads that must not stall flow through the stream
 // buffers instead — streams.go).
 type streamPath struct{}
-
-func (streamPath) check(sp SystemSpec) error {
-	if sp.HostCores || sp.UnitL1 {
-		return fmt.Errorf("engine: the stream path needs cacheless vault-resident units")
-	}
-	return nil
-}
 
 func (streamPath) access(u *Unit, addr int64, size int, write bool) {
 	lat := u.directAccess(addr, size, write)

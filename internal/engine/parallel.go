@@ -30,14 +30,14 @@ import (
 // Energy, stat merges) remain serial, in fixed vault-ID order.
 
 // Workers returns the size of the worker pool a parallel section uses.
-// Specs whose units share simulated state (host cores around an LLC and
-// chip mesh) always run serially: their accesses are order-dependent.
-// For the vault-resident specs the pool is Config.Parallelism
+// The CPU's cores share simulated state (the LLC and chip mesh), so it
+// always runs serially: its accesses are order-dependent.
+// For the vault-resident architectures the pool is Config.Parallelism
 // workers (default GOMAXPROCS when zero), never more than the unit count.
 // Values above GOMAXPROCS are honored — the goroutines time-share — so
 // race tests exercise real concurrency even on single-core hosts.
 func (e *Engine) Workers() int {
-	if e.sharedUnits() {
+	if e.cfg.Arch == CPU {
 		return 1
 	}
 	w := e.parallelism()
@@ -50,8 +50,8 @@ func (e *Engine) Workers() int {
 	return w
 }
 
-// parallelism resolves Config.Parallelism: 0 selects GOMAXPROCS. On
-// host-core specs, 2 or more runs the LLC stage on a goroutine of its
+// parallelism resolves Config.Parallelism: 0 selects GOMAXPROCS. On the
+// CPU, 2 or more runs the LLC stage on a goroutine of its
 // own during steps (llcstage.go).
 func (e *Engine) parallelism() int {
 	if e.cfg.Parallelism == 0 {
@@ -66,7 +66,7 @@ func (e *Engine) parallelism() int {
 // Every index runs even after a failure; the lowest-index error is
 // returned, matching serial first-error semantics at any worker count.
 func (e *Engine) ForEachVault(fn func(v int, u *Unit) error) error {
-	if e.spec.HostCores {
+	if e.cfg.Arch == CPU {
 		panic("engine: ForEachVault on a host-core system")
 	}
 	return e.forEach(len(e.units), func(i int) error { return fn(i, e.units[i]) })
@@ -89,7 +89,7 @@ func (e *Engine) ForEachTask(n int, fn func(i int) error) error {
 // permutation is a pure function of the weights, and per-vault sections
 // touch only vault-owned state. Skew-unaware engines ignore the weights.
 func (e *Engine) ForEachVaultWeighted(weights []float64, fn func(v int, u *Unit) error) error {
-	if e.spec.HostCores {
+	if e.cfg.Arch == CPU {
 		panic("engine: ForEachVault on a host-core system")
 	}
 	return e.forEachOrdered(len(e.units), e.stealOrder(len(e.units), weights),
@@ -104,14 +104,14 @@ func (e *Engine) ForEachTaskWeighted(n int, weights []float64, fn func(i int) er
 
 // stealOrder computes the LPT dispatch permutation for n weighted tasks:
 // indices sorted by weight descending, index ascending on ties. It returns
-// nil (natural order) when stealing is disabled, the spec's units share
-// state (dispatch order would change simulated results), the weights are
+// nil (natural order) when stealing is disabled, the units share state
+// (the CPU: dispatch order would change simulated results), the weights are
 // malformed, or the permutation is the identity. Positions dispatched out
 // of their natural slot count as stolen tasks — a pure function of the
 // weights, so the skew_tasks_stolen metric is identical at every
 // parallelism level.
 func (e *Engine) stealOrder(n int, weights []float64) []int {
-	if !e.cfg.SkewAware || e.sharedUnits() || n < 2 || len(weights) != n {
+	if !e.cfg.SkewAware || e.cfg.Arch == CPU || n < 2 || len(weights) != n {
 		return nil
 	}
 	order := make([]int, n)

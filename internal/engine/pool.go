@@ -7,8 +7,8 @@ import (
 )
 
 // Pool recycles constructed engines across runs (DESIGN.md §16). Engines
-// are keyed by their full identity — the resolved SystemSpec plus every
-// configuration field that shapes construction or simulated behaviour —
+// are keyed by their full identity — every configuration field that
+// shapes construction or simulated behaviour —
 // so an acquired engine is guaranteed interchangeable with a fresh
 // New(cfg): Release resets the engine to pristine state (Engine.Reset)
 // before parking it, and the reset contract makes reuse invisible in
@@ -50,27 +50,20 @@ func NewPool(perKey int) *Pool {
 }
 
 // poolKey canonicalizes a configuration into the pool's map key: the
-// resolved spec plus the config with its one pointer field, Obs (a
-// per-run binding), zeroed. Every remaining Config field is a plain
-// value struct, so %+v is a complete, collision-free rendering.
-func poolKey(cfg Config) (string, error) {
-	sp, err := cfg.resolveSpec()
-	if err != nil {
-		return "", err
-	}
+// config with its one pointer field, Obs (a per-run binding), zeroed.
+// Every remaining Config field is a plain value struct, so %+v is a
+// complete, collision-free rendering.
+func poolKey(cfg Config) string {
 	flat := cfg
 	flat.Obs = nil
-	return fmt.Sprintf("%+v|%+v", sp, flat), nil
+	return fmt.Sprintf("%+v", flat)
 }
 
 // Acquire returns a pristine engine for cfg: a reset idle engine when one
 // is parked under cfg's key, a fresh New(cfg) otherwise. The caller owns
 // the engine until Release.
 func (p *Pool) Acquire(cfg Config) (*Engine, error) {
-	key, err := poolKey(cfg)
-	if err != nil {
-		return nil, err
-	}
+	key := poolKey(cfg)
 	p.mu.Lock()
 	if list := p.idle[key]; len(list) > 0 {
 		e := list[len(list)-1]
@@ -80,7 +73,7 @@ func (p *Pool) Acquire(cfg Config) (*Engine, error) {
 		p.mu.Unlock()
 		// Key equality guarantees cfg differs from the engine's own config
 		// at most in the pointer fields; adopt the caller's wholesale so
-		// the run binds to its registry (and Spec pointer, harmlessly).
+		// the run binds to its registry.
 		e.cfg = cfg
 		return e, nil
 	}
@@ -97,10 +90,7 @@ func (p *Pool) Release(e *Engine) {
 	if e == nil {
 		return
 	}
-	key, err := poolKey(e.cfg)
-	if err != nil {
-		return // constructed engines always resolve; defensive only
-	}
+	key := poolKey(e.cfg)
 	e.Reset()
 	p.mu.Lock()
 	defer p.mu.Unlock()

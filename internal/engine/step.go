@@ -82,7 +82,7 @@ func (e *Engine) BeginStep(p StepProfile) {
 	}
 	e.inStep = true
 	e.profile = p
-	if e.spec.Path == PathCPU {
+	if e.cfg.Arch == CPU {
 		e.llcStage().beginStep(e.parallelism() >= 2)
 	}
 	e.snap = e.takeSnapshot()

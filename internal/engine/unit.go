@@ -8,8 +8,8 @@ import (
 	"github.com/ecocloud-go/mondrian/internal/tuple"
 )
 
-// Unit is one compute unit: a host core (host-core specs) or the
-// per-vault logic-layer core (vault-resident specs). Operators run on
+// Unit is one compute unit: a host core (the CPU) or the per-vault
+// logic-layer core (NMP and Mondrian). Operators run on
 // Units; every accessor both performs the functional operation on tuples
 // and routes the memory traffic through the unit's memory path (mempath.go)
 // so that DRAM row behaviour, interconnect occupancy and core stalls

@@ -120,7 +120,7 @@ func Run(e *engine.Engine, job Job, inputs []*engine.Region) (*Result, error) {
 	}
 	t0 := e.TotalNs()
 	e.BeginStep(engine.StepProfile{Name: "map", DepIPC: 1.5, InstPerAccess: 4,
-		StreamFed: e.Spec().StreamBufs})
+		StreamFed: e.StreamFed()})
 	if err := e.ForEachVault(func(v int, u *engine.Unit) error {
 		readers, err := u.OpenStreams(inputs[v])
 		if err != nil {
@@ -179,7 +179,7 @@ func Run(e *engine.Engine, job Job, inputs []*engine.Region) (*Result, error) {
 	}
 	keyCnt := make([]int, nv)
 	e.BeginStep(engine.StepProfile{Name: "reduce", DepIPC: 1.5, InstPerAccess: 4,
-		StreamFed: e.Spec().StreamBufs})
+		StreamFed: e.StreamFed()})
 	if err := e.ForEachVault(func(v int, u *engine.Unit) error {
 		b := buckets[v]
 		// Read the bucket (streamed where supported) and group by key.
@@ -267,7 +267,7 @@ func shuffle(e *engine.Engine, staging []*engine.Region) ([]*engine.Region, erro
 	}
 
 	e.BeginStep(engine.StepProfile{Name: "mr-shuffle", DepIPC: 1.0, InstPerAccess: 4,
-		StreamFed: e.Spec().StreamBufs})
+		StreamFed: e.StreamFed()})
 	x := e.NewExchange(dests, perSource)
 	if err := e.ForEachVault(func(v int, u *engine.Unit) error {
 		ob := x.Outbox(v)

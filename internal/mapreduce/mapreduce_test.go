@@ -41,7 +41,6 @@ func testEngine(t *testing.T, arch engine.Arch, perm bool) *engine.Engine {
 		cfg.Arch = engine.Mondrian
 		cfg.Core = cores.CortexA35Mondrian()
 		cfg.Permutable = perm
-		cfg.UseStreams = true
 	}
 	e, err := engine.New(cfg)
 	if err != nil {
@@ -278,33 +277,5 @@ func TestJobDefaults(t *testing.T) {
 	j = Job{MapInsts: 3, ReduceInsts: 2, SIMDFactor: 8, Amplification: 2}
 	if j.mapInsts() != 3 || j.reduceInsts() != 2 || j.simdFactor() != 8 || j.amplification() != 2 {
 		t.Fatal("overrides ignored")
-	}
-}
-
-// TestUseStreamsWithoutStreamBuffers pins the stream-fed predicate to the
-// assembled hardware: NMP units have no stream buffers, so setting
-// UseStreams on an NMP config must not give its steps stream-fed timing.
-func TestUseStreamsWithoutStreamBuffers(t *testing.T) {
-	rel, err := workload.GroupBy(workload.Config{Seed: 5, Tuples: 3000}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(useStreams bool) *Result {
-		e := testEngine(t, engine.NMP, true)
-		cfg := e.Config()
-		cfg.UseStreams = useStreams
-		if e, err = engine.New(cfg); err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run(e, wordCount(), place(t, e, rel))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	plain, flagged := run(false), run(true)
-	if plain.MapNs != flagged.MapNs || plain.ShuffleNs != flagged.ShuffleNs || plain.ReduceNs != flagged.ReduceNs {
-		t.Fatalf("UseStreams on NMP changed timing: map/shuffle/reduce %v/%v/%v ns, want %v/%v/%v",
-			flagged.MapNs, flagged.ShuffleNs, flagged.ReduceNs, plain.MapNs, plain.ShuffleNs, plain.ReduceNs)
 	}
 }

@@ -139,7 +139,7 @@ func TestMergesortKernelSteadyStateZeroAlloc(t *testing.T) {
 			}
 			u := e.UnitForVault(0)
 			simd := isSIMD(e)
-			e.BeginStep(engine.StepProfile{Name: "sort", StreamFed: e.Config().UseStreams})
+			e.BeginStep(engine.StepProfile{Name: "sort", StreamFed: e.StreamFed()})
 			defer e.EndStep()
 			kernel := func() {
 				if _, err := mergesortLocal(u, v.opCfg.Costs, r, scratch, simd); err != nil {

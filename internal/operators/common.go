@@ -100,7 +100,7 @@ func mergeProfile(e *engine.Engine, cm CostModel) engine.StepProfile {
 // probeProfile picks the step profile for a probe loop, adapting it when
 // the units read through hardware stream buffers.
 func probeProfile(e *engine.Engine, base engine.StepProfile) engine.StepProfile {
-	if e.Spec().StreamBufs {
+	if e.StreamFed() {
 		return streamed(base)
 	}
 	return base

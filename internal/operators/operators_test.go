@@ -56,7 +56,6 @@ func testVariants() []variant {
 	mondrian.Core = cores.CortexA35Mondrian()
 	mondrian.Topology = noc.FullyConnected
 	mondrian.Permutable = true
-	mondrian.UseStreams = true
 
 	mondrianNoPerm := mondrian
 	mondrianNoPerm.Permutable = false

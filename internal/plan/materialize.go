@@ -23,7 +23,7 @@ func Materialize(e *engine.Engine, outs []*engine.Region) ([]*engine.Region, err
 	e.BeginPhase("materialize")
 	defer e.EndPhase()
 	e.BeginStep(engine.StepProfile{Name: "materialize", DepIPC: 2, InstPerAccess: 4,
-		StreamFed: e.Spec().StreamBufs})
+		StreamFed: e.StreamFed()})
 	for v := 0; v < nv; v++ {
 		total := 0
 		for _, r := range byVault[v] {

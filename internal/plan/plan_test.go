@@ -38,7 +38,6 @@ func engineCfg(arch engine.Arch) engine.Config {
 		cfg.Arch = engine.Mondrian
 		cfg.Core = cores.CortexA35Mondrian()
 		cfg.Permutable = true
-		cfg.UseStreams = true
 	}
 	return cfg
 }

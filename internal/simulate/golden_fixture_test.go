@@ -28,10 +28,10 @@ func goldenFixturePath(s System, experiment string) string {
 
 // TestGoldenFixtures pins every System×Operator report JSON, and every
 // System×Plan report JSON in fused and staged mode, to committed
-// fixtures: the declarative SystemSpec assembly must reproduce the
-// switch-based engine construction bit for bit — timing, energy, DRAM
-// stats and the step timeline all round through the same float paths, so
-// any divergence shows up as a byte diff here.
+// fixtures: every refactor must reproduce the recorded reports bit for
+// bit — timing, energy, DRAM stats and the step timeline all round
+// through the same float paths, so any divergence shows up as a byte
+// diff here.
 func TestGoldenFixtures(t *testing.T) {
 	for _, s := range Systems() {
 		for _, op := range Operators() {

@@ -1,11 +1,11 @@
 package simulate
 
 // The system registry: every evaluated configuration is one declarative
-// Spec row — a name, an engine identity template, and the operator
-// algorithm selectors. The paper's seven systems are builtin rows; new
+// Spec row — a name, an engine identity template, and the probe
+// algorithm selector. The paper's seven systems are builtin rows; new
 // variants (sensitivity sweeps, what-if systems) register at runtime and
 // run through Run and RunPlan exactly like the builtins. See DESIGN.md
-// §11 for how the registry layers over engine.SystemSpec.
+// §11 for how the registry layers over engine.Config.Arch.
 
 import (
 	"fmt"
@@ -36,26 +36,21 @@ const (
 )
 
 // Spec is one row of the system table: the name the CLIs parse, the
-// engine identity template (architecture composition, core model,
-// topology, caches — everything that makes the system *itself*), and
-// the operator-algorithm selectors. Quantitative experiment parameters
-// (DRAM geometry, dataset sizes, parallelism) are owned by Params and
-// merged in at EngineConfig time.
+// engine identity template (architecture, core model, topology, caches —
+// everything that makes the system *itself*), and the probe-algorithm
+// selector. Quantitative experiment parameters (DRAM geometry, dataset
+// sizes, parallelism) are owned by Params and merged in at EngineConfig
+// time.
 type Spec struct {
 	Name string
 	// Engine is the identity template. EngineConfig copies it and fills
 	// the Params-owned fields: Cubes, VaultsPer, Geometry, Timing,
-	// ObjectSize, BarrierNs, Parallelism, NoBulk — plus CPUCores when
-	// HostCores is set.
+	// ObjectSize, BarrierNs, Parallelism, NoBulk — plus CPUCores on the
+	// CPU architecture.
 	Engine engine.Config
-	// HostCores marks a host-side system whose compute-unit count comes
-	// from Params.CPUCores rather than the vault count.
-	HostCores bool
 	// SortProbe selects the sort-based probe algorithms (§6: NMP-seq
 	// and the Mondrian variants); false selects the hash algorithms.
 	SortProbe bool
-	// MondrianCosts selects the SIMD instruction-cost table.
-	MondrianCosts bool
 }
 
 var (
@@ -91,22 +86,19 @@ func builtinSpecs() []Spec {
 	}
 	mondrian := func(name string, permutable bool) Spec {
 		return Spec{
-			Name:          name,
-			SortProbe:     true,
-			MondrianCosts: true,
+			Name:      name,
+			SortProbe: true,
 			Engine: engine.Config{
 				Arch:       engine.Mondrian,
 				Core:       cores.CortexA35Mondrian(),
 				Topology:   noc.FullyConnected,
-				UseStreams: true,
 				Permutable: permutable,
 			},
 		}
 	}
 	return []Spec{
 		{
-			Name:      "CPU",
-			HostCores: true,
+			Name: "CPU",
 			Engine: engine.Config{
 				Arch:     engine.CPU,
 				Core:     cores.CortexA57(),

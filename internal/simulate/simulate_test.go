@@ -38,8 +38,8 @@ func TestEngineConfigsPerSystem(t *testing.T) {
 			t.Fatalf("%v: %v", s, err)
 		}
 	}
-	if !p.EngineConfig(Mondrian).Permutable || !p.EngineConfig(Mondrian).UseStreams {
-		t.Fatal("Mondrian must have permutability and streams")
+	if !p.EngineConfig(Mondrian).Permutable {
+		t.Fatal("Mondrian must be permutable")
 	}
 	if p.EngineConfig(MondrianNoPerm).Permutable {
 		t.Fatal("Mondrian-noperm must not be permutable")

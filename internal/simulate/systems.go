@@ -208,22 +208,22 @@ func (p Params) EngineConfig(s System) engine.Config {
 	cfg.NoBulk = p.NoBulk
 	cfg.SkewAware = p.SkewAware
 	cfg.Obs = p.Obs
-	if sp.HostCores {
+	if cfg.Arch == engine.CPU {
 		cfg.CPUCores = p.CPUCores
 	}
 	return cfg
 }
 
-// OperatorConfig builds the operator configuration for a system from the
-// registered spec's algorithm selectors: the CPU and NMP-rand run the
-// hash algorithms, NMP-seq and the Mondrian variants the sort-based ones
-// (§6).
+// OperatorConfig builds the operator configuration for a system from its
+// registered spec: the CPU and NMP-rand run the hash algorithms, NMP-seq
+// and the Mondrian variants the sort-based ones (§6), and the Mondrian
+// architecture's SIMD units take the Mondrian cost table.
 func (p Params) OperatorConfig(s System) operators.Config {
 	cfg := operators.Config{Costs: operators.DefaultCosts(), KeySpace: p.KeySpace,
 		CPUBuckets: p.CPUBuckets, SkewAware: p.SkewAware,
 		Overprovision: p.Overprovision}
 	if sp, ok := SpecOf(s); ok {
-		if sp.MondrianCosts {
+		if sp.Engine.Arch == engine.Mondrian {
 			cfg.Costs = operators.MondrianCosts()
 		}
 		cfg.SortProbe = sp.SortProbe
