@@ -23,31 +23,32 @@ func TestAssemblyFromArch(t *testing.T) {
 		{"mondrian", mondrianConfig(), false, false, true, true, false, true},
 	}
 	for _, tc := range cases {
-		e := mustEngine(t, tc.cfg)
-		if got := e.LLC() != nil; got != tc.llc {
-			t.Errorf("%s: LLC present = %v, want %v", tc.name, got, tc.llc)
-		}
-		if got := e.StreamFed(); got != tc.fed {
-			t.Errorf("%s: StreamFed() = %v, want %v", tc.name, got, tc.fed)
-		}
-		for _, u := range e.Units() {
-			got := [4]bool{u.L1 != nil, u.tlbL1 != nil && u.tlbL2 != nil, u.ObjBuf != nil, u.Streams != nil}
-			if want := [4]bool{tc.l1, tc.tlb, tc.objBuf, tc.streams}; got != want {
-				t.Errorf("%s: unit %d has L1/TLB/object buffer/stream buffers %v, want %v",
-					tc.name, u.ID, got, want)
+		t.Run(tc.name, func(t *testing.T) {
+			e := mustEngine(t, tc.cfg)
+			if got := e.LLC() != nil; got != tc.llc {
+				t.Errorf("LLC present = %v, want %v", got, tc.llc)
 			}
-			if (u.Vault == nil) != (tc.cfg.Arch == CPU) {
-				t.Errorf("%s: unit %d vault-resident = %v", tc.name, u.ID, u.Vault != nil)
+			if got := e.StreamFed(); got != tc.fed {
+				t.Errorf("StreamFed() = %v, want %v", got, tc.fed)
 			}
-		}
+			for _, u := range e.Units() {
+				got := [4]bool{u.L1 != nil, u.tlbL1 != nil && u.tlbL2 != nil, u.ObjBuf != nil, u.Streams != nil}
+				if want := [4]bool{tc.l1, tc.tlb, tc.objBuf, tc.streams}; got != want {
+					t.Errorf("unit %d has L1/TLB/object buffer/stream buffers %v, want %v", u.ID, got, want)
+				}
+				if (u.Vault == nil) != (tc.cfg.Arch == CPU) {
+					t.Errorf("unit %d vault-resident = %v", u.ID, u.Vault != nil)
+				}
+			}
+		})
 	}
 }
 
-// TestConfigRejectsImpossibleSystems covers the Validate errors that stand
-// between a configuration and a panic in New: an unknown architecture,
+// TestSpecValidationErrors covers the Validate errors that stand between a
+// system's specification and a panic in New: an unknown architecture,
 // permutability on the CPU's passive cubes, and cache geometries the
 // architecture builds but that hold no set.
-func TestConfigRejectsImpossibleSystems(t *testing.T) {
+func TestSpecValidationErrors(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  func() Config
@@ -62,9 +63,11 @@ func TestConfigRejectsImpossibleSystems(t *testing.T) {
 		{"cpu zero LLC", func() Config { c := cpuConfig(); c.LLC = cache.Config{}; return c }, "engine: LLC"},
 	}
 	for _, tc := range cases {
-		if _, err := New(tc.cfg()); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: New error = %v, want one containing %q", tc.name, err, tc.want)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := New(tc.cfg()); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("New error = %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
 
 	// Mondrian builds no cache, so it ignores the cache geometries.
@@ -88,12 +91,16 @@ func TestConfigRejectsNegativeKnobs(t *testing.T) {
 	}
 }
 
-// TestStreamBufferCount builds a Mondrian engine with a custom
-// stream-buffer count and checks every unit carries that many.
-func TestStreamBufferCount(t *testing.T) {
+// TestCustomSpecAssembly builds a Mondrian engine with a custom
+// stream-buffer count and checks the assembled units: vault-resident and
+// cacheless, with an object buffer and four stream buffers.
+func TestCustomSpecAssembly(t *testing.T) {
 	cfg := mondrianConfig()
 	cfg.StreamBuffers = 4
 	for _, u := range mustEngine(t, cfg).Units() {
+		if u.L1 != nil || u.Streams == nil || u.ObjBuf == nil || u.Vault == nil {
+			t.Fatalf("unit %d not assembled as a Mondrian unit", u.ID)
+		}
 		if u.Streams.Buffers() != 4 {
 			t.Fatalf("unit %d has %d stream buffers, want 4", u.ID, u.Streams.Buffers())
 		}
