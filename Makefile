@@ -112,6 +112,7 @@ serve-smoke:
 
 # ci mirrors .github/workflows/ci.yml: tier-1 format check, build, vet
 # and test, the race pass and the focused race smoke, then the perfbench
-# module's tests (its own module, so `go test ./...` skips it).
+# module's vet and tests (its own module, so `go vet ./...` and
+# `go test ./...` skip it).
 ci: fmt-check test vet race race-smoke
-	cd perfbench && $(GO) test ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...

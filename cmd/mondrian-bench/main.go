@@ -65,9 +65,7 @@ func main() {
 	if *rTup != 0 {
 		p.RTuples = *rTup
 	}
-	if *par != 0 {
-		p.Parallelism = *par
-	}
+	p.Parallelism = *par
 	// Reject bad overrides up front with the boundary's one-line typed
 	// error instead of starting a long run (or, worse, a stack trace).
 	if err := p.Validate(); err != nil {

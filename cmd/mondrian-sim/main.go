@@ -40,15 +40,15 @@ func main() {
 }
 
 // customize derives a one-off system from base's registered spec with
-// the given overrides applied, registers it under a derived name, and
-// returns its handle. Zero values leave the base spec untouched; an
+// the given overrides applied, registers it under a name that lists the
+// applied overrides in flag order (e.g. "NMP+topology=star+l1-bytes=65536"),
+// and returns its handle. Zero values leave the base spec untouched; an
 // override of hardware the base system does not have is an error.
 func customize(base simulate.System, topo string, l1Bytes, streamBufs int) (simulate.System, error) {
 	sp, ok := simulate.SpecOf(base)
 	if !ok {
 		return 0, fmt.Errorf("unknown system %v", base)
 	}
-	sp.Name += "+custom"
 	switch strings.ToLower(topo) {
 	case "":
 	case "star":
@@ -58,6 +58,9 @@ func customize(base simulate.System, topo string, l1Bytes, streamBufs int) (simu
 	default:
 		return 0, fmt.Errorf("unknown topology %q (want star or full)", topo)
 	}
+	if topo != "" {
+		sp.Name += "+topology=" + sp.Engine.Topology.String()
+	}
 	if l1Bytes != 0 {
 		if l1Bytes < 0 {
 			return 0, fmt.Errorf("negative L1 size %d bytes", l1Bytes)
@@ -66,6 +69,7 @@ func customize(base simulate.System, topo string, l1Bytes, streamBufs int) (simu
 			return 0, fmt.Errorf("-l1-bytes has no effect on %s: its units have no L1", base)
 		}
 		sp.Engine.L1.SizeBytes = l1Bytes
+		sp.Name += fmt.Sprintf("+l1-bytes=%d", l1Bytes)
 	}
 	if streamBufs != 0 {
 		if streamBufs < 0 {
@@ -75,6 +79,7 @@ func customize(base simulate.System, topo string, l1Bytes, streamBufs int) (simu
 			return 0, fmt.Errorf("-stream-buffers has no effect on %s: its units have no stream buffers", base)
 		}
 		sp.Engine.StreamBuffers = streamBufs
+		sp.Name += fmt.Sprintf("+stream-buffers=%d", streamBufs)
 	}
 	return simulate.Register(sp)
 }
@@ -94,15 +99,11 @@ func run() error {
 		par      = flag.Int("parallelism", defaults.Parallelism, "host worker pool (0 = GOMAXPROCS, 1 = serial)")
 		seed     = flag.Int64("seed", 42, "workload seed")
 		steps    = flag.Bool("steps", false, "print the per-step timeline")
-		repeat   = flag.Int("repeat", 1, "re-run the same request N times on one pooled engine and report the amortized construction overhead per run")
-		noPool   = flag.Bool("no-pool", defaults.NoPool, "construct a fresh engine per run instead of drawing a reset one from the engine pool; simulated results are byte-identical")
 
-		// Skew knobs. -skew-aware defaults to the MONDRIAN_SKEW_AWARE
-		// environment override so the flag and variable compose.
-		skewAware = flag.Bool("skew-aware", defaults.SkewAware, "enable skew-aware execution (heavy-hitter detection, exact provisioning, hot-key splitting, work stealing)")
-
-		zipfS    = flag.Float64("zipf-s", 0, "Zipf exponent for skewed workload keys (0 = uniform; must be > 1 otherwise)")
-		overprov = flag.Float64("overprovision", 0, "destination-buffer overprovision factor (0 = operator default)")
+		// Skew knobs.
+		skewAware = flag.Bool("skew-aware", false, "enable skew-aware execution (heavy-hitter detection, exact provisioning, hot-key splitting, work stealing)")
+		zipfS     = flag.Float64("zipf-s", 0, "Zipf exponent for skewed workload keys (0 = uniform; must be > 1 otherwise)")
+		overprov  = flag.Float64("overprovision", 0, "destination-buffer overprovision factor (0 = operator default)")
 
 		// Observability outputs. Setting any of them enables the metrics
 		// registry for the run; "-" writes to stdout.
@@ -132,6 +133,9 @@ func run() error {
 			*opName, strings.Join(simulate.OperatorNames(), ", "), strings.Join(simulate.PlanNames(), ", "))
 	}
 	isPlan := opErr != nil
+	if *staged && !isPlan {
+		return fmt.Errorf("-staged applies only to query plans, not to operator %s", op)
+	}
 	if *topo != "" || *l1Bytes != 0 || *streamBufs != 0 {
 		if sys, err = customize(sys, *topo, *l1Bytes, *streamBufs); err != nil {
 			return err
@@ -150,7 +154,6 @@ func run() error {
 	p.ZipfS = *zipfS
 	p.Overprovision = *overprov
 	p.NoFusion = *staged
-	p.NoPool = *noPool
 	if *cpuCores != 0 {
 		if sp, _ := simulate.SpecOf(sys); sp.Engine.Arch != engine.CPU {
 			return fmt.Errorf("-cpu-cores has no effect on %s: it has no host cores", sys)
@@ -162,38 +165,34 @@ func run() error {
 	if observing {
 		p.Obs = obs.NewRegistry()
 	}
-	// exec runs the selected operator or plan once; only the header table
-	// differs between the two kinds.
-	exec := func(p simulate.Params) (*outcome, error) {
-		if isPlan {
-			res, err := simulate.RunPlan(sys, pl, p)
-			if err != nil {
-				return nil, err
-			}
-			return &outcome{
-				table:    func(w io.Writer) { planTable(w, res, p.NoFusion) },
-				steps:    res.Steps,
-				spans:    res.Spans,
-				manifest: func() *obs.Manifest { return simulate.BuildPlanManifest(res, p, *spans) },
-			}, nil
-		}
-		res, err := simulate.Run(sys, op, p)
-		if err != nil {
-			return nil, err
-		}
-		return &outcome{
-			table:    func(w io.Writer) { operatorTable(w, res) },
-			steps:    res.Steps,
-			spans:    res.Spans,
-			manifest: func() *obs.Manifest { return simulate.BuildManifest(res, p, *spans) },
-		}, nil
-	}
+	// Run the selected operator or plan; only the header table differs
+	// between the two kinds.
+	var res outcome
 	start := time.Now()
-	res, err := exec(p)
-	wall := time.Since(start)
-	if err != nil {
-		return err
+	if isPlan {
+		r, err := simulate.RunPlan(sys, pl, p)
+		if err != nil {
+			return err
+		}
+		res = outcome{
+			table:    func(w io.Writer) { planTable(w, r, p.NoFusion) },
+			steps:    r.Steps,
+			spans:    r.Spans,
+			manifest: func() *obs.Manifest { return simulate.BuildPlanManifest(r, p, *spans) },
+		}
+	} else {
+		r, err := simulate.Run(sys, op, p)
+		if err != nil {
+			return err
+		}
+		res = outcome{
+			table:    func(w io.Writer) { operatorTable(w, r) },
+			steps:    r.Steps,
+			spans:    r.Spans,
+			manifest: func() *obs.Manifest { return simulate.BuildManifest(r, p, *spans) },
+		}
 	}
+	wall := time.Since(start)
 
 	w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
 	res.table(w)
@@ -212,15 +211,8 @@ func run() error {
 		}
 	}
 
-	rerun := func() (time.Duration, error) {
-		rp := p
-		rp.Obs = nil
-		t0 := time.Now()
-		_, err := exec(rp)
-		return time.Since(t0), err
-	}
 	if !observing {
-		return repeatReport(*repeat, wall, rerun)
+		return nil
 	}
 	m := res.manifest()
 	m.Host.WallNs = wall.Nanoseconds()
@@ -252,7 +244,7 @@ func run() error {
 			return err
 		}
 	}
-	return repeatReport(*repeat, wall, rerun)
+	return nil
 }
 
 // outcome is one run of either kind, as the shared report reads it: the
@@ -314,35 +306,4 @@ func costRows(w io.Writer, d dram.Stats, e energy.Breakdown) {
 	fmt.Fprintf(w, "row activations\t%d\n", d.Activations)
 	fmt.Fprintf(w, "bytes moved\t%d\n", d.TotalBytes())
 	fmt.Fprintf(w, "energy\t%s\n", e)
-}
-
-// repeatReport re-runs the request n-1 more times and prints the pooled
-// lifecycle's amortization summary. The first run paid engine
-// construction (a pool miss); steady-state runs draw a reset engine from
-// the pool, so the first-vs-steady difference is the construction
-// overhead pooling amortizes away. With -no-pool every run pays it
-// again, which makes the two modes directly comparable.
-func repeatReport(n int, first time.Duration, rerun func() (time.Duration, error)) error {
-	if n <= 1 {
-		return nil
-	}
-	var steady time.Duration
-	for i := 1; i < n; i++ {
-		d, err := rerun()
-		if err != nil {
-			return err
-		}
-		steady += d
-	}
-	mean := steady / time.Duration(n-1)
-	over := first - mean
-	if over < 0 {
-		over = 0
-	}
-	st := simulate.PoolStats()
-	fmt.Printf("\nrepeat: %d runs — first %.3f ms, steady-state mean %.3f ms\n",
-		n, float64(first.Nanoseconds())/1e6, float64(mean.Nanoseconds())/1e6)
-	fmt.Printf("construction overhead: %.3f ms once, %.3f ms amortized per run (engine pool: %d hits, %d misses)\n",
-		float64(over.Nanoseconds())/1e6, float64(over.Nanoseconds())/1e6/float64(n), st.Hits, st.Misses)
-	return nil
 }

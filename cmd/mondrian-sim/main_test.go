@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -66,6 +68,7 @@ func TestCLIRejectsCrashReproducers(t *testing.T) {
 		{[]string{"-system", "nmp", "-op", "sort", "-cpu-cores", "3"}, "-cpu-cores has no effect on NMP"},
 		{[]string{"-system", "nmp", "-op", "scan", "-l1-bytes", "100"}, "engine: L1"},
 		{[]string{"-system", "cpu", "-op", "scan", "-l1-bytes", "64"}, "engine: L1"},
+		{[]string{"-system", "nmp", "-op", "scan", "-staged"}, "-staged applies only to query plans"},
 	}
 	for _, tc := range cases {
 		msg := assertCleanFailure(t, bin, tc.args...)
@@ -108,7 +111,7 @@ func TestCLICustomSystem(t *testing.T) {
 		t.Fatalf("custom-system run failed: %v\n%s", err, out)
 	}
 	got := string(out)
-	if !strings.Contains(got, "Mondrian+custom") {
+	if !strings.Contains(got, "Mondrian+stream-buffers=4") {
 		t.Fatalf("report does not name the derived system:\n%s", got)
 	}
 	if !strings.Contains(got, "verified") || strings.Contains(got, "false") {
@@ -117,19 +120,20 @@ func TestCLICustomSystem(t *testing.T) {
 }
 
 // TestCLITopologyAndCacheOverrides drives the remaining override flags
-// through a small NMP join: star topology, a quarter-size L1, and an
-// explicit host-core count on the CPU system.
+// through a small NMP scan: star topology and a quarter-size L1, named in
+// flag order whatever their order on the command line, and an explicit
+// host-core count on the CPU system.
 func TestCLITopologyAndCacheOverrides(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the CLI")
 	}
 	bin := buildCLI(t)
 	out, err := exec.Command(bin, "-system", "nmp", "-op", "scan",
-		"-topology", "star", "-l1-bytes", "8192", "-s-tuples", "4096").CombinedOutput()
+		"-l1-bytes", "8192", "-topology", "star", "-s-tuples", "4096").CombinedOutput()
 	if err != nil {
 		t.Fatalf("override run failed: %v\n%s", err, out)
 	}
-	if !strings.Contains(string(out), "NMP+custom") {
+	if !strings.Contains(string(out), "NMP+topology=star+l1-bytes=8192") {
 		t.Fatalf("report does not name the derived system:\n%s", out)
 	}
 	out, err = exec.Command(bin, "-system", "cpu", "-op", "scan",
@@ -139,5 +143,39 @@ func TestCLITopologyAndCacheOverrides(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "CPU") {
 		t.Fatalf("unexpected report:\n%s", out)
+	}
+}
+
+// TestCLIManifestRecordsSkewKnobs checks that the -metrics manifest
+// records the skew knobs, which change simulated results: schema v2
+// carries zipf_s and skew_aware in its params.
+func TestCLIManifestRecordsSkewKnobs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the CLI")
+	}
+	bin := buildCLI(t)
+	path := filepath.Join(t.TempDir(), "manifest.json")
+	out, err := exec.Command(bin, "-system", "nmp", "-op", "groupby", "-s-tuples", "4096",
+		"-zipf-s", "1.5", "-skew-aware", "-metrics", path).CombinedOutput()
+	if err != nil {
+		t.Fatalf("skewed run failed: %v\n%s", err, out)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		Schema string `json:"schema"`
+		Params struct {
+			ZipfS     float64 `json:"zipf_s"`
+			SkewAware bool    `json:"skew_aware"`
+		} `json:"params"`
+	}
+	if err := json.Unmarshal(b, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Schema != "mondrian-run-manifest/v2" || m.Params.ZipfS != 1.5 || !m.Params.SkewAware {
+		t.Fatalf("manifest schema %q, zipf_s %g, skew_aware %v; want v2, 1.5, true",
+			m.Schema, m.Params.ZipfS, m.Params.SkewAware)
 	}
 }

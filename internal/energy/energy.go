@@ -8,28 +8,29 @@ package energy
 import "fmt"
 
 // Params holds the power and energy constants of Table 4 plus the derived
-// modeling knobs. All powers are watts, energies joules.
+// modeling knobs. All powers are watts, energies joules. Run manifests
+// record them under these JSON keys.
 type Params struct {
-	CPUCoreW      float64 // per CPU core (2.1 W)
-	NMPCoreW      float64 // per NMP-baseline core (312 mW)
-	MondrianCoreW float64 // per Mondrian core (180 mW)
+	CPUCoreW      float64 `json:"cpu_core_w"`      // per CPU core (2.1 W)
+	NMPCoreW      float64 `json:"nmp_core_w"`      // per NMP-baseline core (312 mW)
+	MondrianCoreW float64 `json:"mondrian_core_w"` // per Mondrian core (180 mW)
 
-	LLCAccessJ float64 // per LLC access (0.09 nJ)
-	LLCLeakW   float64 // LLC leakage (110 mW)
+	LLCAccessJ float64 `json:"llc_access_j"` // per LLC access (0.09 nJ)
+	LLCLeakW   float64 `json:"llc_leak_w"`   // LLC leakage (110 mW)
 
-	NoCPerBitMMJ float64 // NoC dynamic energy (0.04 pJ/bit/mm)
-	NoCLeakW     float64 // NoC leakage per cube mesh (30 mW)
+	NoCPerBitMMJ float64 `json:"noc_per_bit_mm_j"` // NoC dynamic energy (0.04 pJ/bit/mm)
+	NoCLeakW     float64 `json:"noc_leak_w"`       // NoC leakage per cube mesh (30 mW)
 
-	HMCBackgroundW float64 // per 8 GB cube (980 mW)
-	ActivationJ    float64 // per row activation (0.65 nJ)
-	AccessJPerBit  float64 // DRAM access energy (2 pJ/bit)
+	HMCBackgroundW float64 `json:"hmc_background_w"` // per 8 GB cube (980 mW)
+	ActivationJ    float64 `json:"activation_j"`     // per row activation (0.65 nJ)
+	AccessJPerBit  float64 `json:"access_j_per_bit"` // DRAM access energy (2 pJ/bit)
 
-	SerDesIdleJPerBit float64 // idle links burn 1 pJ per bit-time of capacity
-	SerDesBusyJPerBit float64 // transferring costs 3 pJ/bit
+	SerDesIdleJPerBit float64 `json:"serdes_idle_j_per_bit"` // idle links burn 1 pJ per bit-time of capacity
+	SerDesBusyJPerBit float64 `json:"serdes_busy_j_per_bit"` // transferring costs 3 pJ/bit
 
 	// IdleCoreFraction is the fraction of peak power a core draws while
 	// stalled at a phase barrier (clock gating is imperfect).
-	IdleCoreFraction float64
+	IdleCoreFraction float64 `json:"idle_core_fraction"`
 }
 
 // DefaultParams returns Table 4 of the paper.

@@ -10,7 +10,7 @@ import (
 
 // ManifestSchema identifies the manifest JSON layout; bump on breaking
 // changes so downstream tooling can dispatch on it.
-const ManifestSchema = "mondrian-run-manifest/v1"
+const ManifestSchema = "mondrian-run-manifest/v2"
 
 // PhaseSummary is one operator phase (partition, probe, ...) in the
 // manifest: its simulated interval plus the host wall time the engine
@@ -44,9 +44,10 @@ type Manifest struct {
 	System   string `json:"system"`
 	Operator string `json:"operator"`
 
-	// Params is supplied by the caller (e.g. simulate.ManifestParams):
-	// any JSON-marshalable struct describing the workload. Struct fields
-	// marshal in declaration order, so the JSON form is deterministic.
+	// Params is supplied by the caller (simulate.SimParams, the whole
+	// simulated configuration): any JSON-marshalable struct. Struct
+	// fields marshal in declaration order, so the JSON form is
+	// deterministic.
 	Params any `json:"params,omitempty"`
 
 	Verified         bool            `json:"verified"`

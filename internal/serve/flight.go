@@ -71,11 +71,11 @@ func requestOperator(req Request) string {
 	return req.Operator.String()
 }
 
-// paramsDigest fingerprints a request's workload parameters (FNV-64a
-// over the JSON form; Obs is excluded by its json:"-" tag). Two requests
-// with equal digests ran the same simulated configuration.
+// paramsDigest fingerprints a request's simulated configuration (FNV-64a
+// over the JSON form of p.SimParams; the host half and Obs stay out).
+// Two requests with equal digests ran the same simulated configuration.
 func paramsDigest(p simulate.Params) string {
-	b, err := json.Marshal(p)
+	b, err := json.Marshal(p.SimParams)
 	if err != nil {
 		return "unmarshalable"
 	}

@@ -291,4 +291,16 @@ func TestParamsDigestStable(t *testing.T) {
 	if paramsDigest(a) != paramsDigest(c) {
 		t.Fatal("Obs handle must not affect the digest")
 	}
+	// Host knobs change how a run executes, never what it simulates.
+	for name, set := range map[string]func(*simulate.Params){
+		"Parallelism": func(p *simulate.Params) { p.Parallelism += 3 },
+		"NoBulk":      func(p *simulate.Params) { p.NoBulk = !p.NoBulk },
+		"NoPool":      func(p *simulate.Params) { p.NoPool = !p.NoPool },
+	} {
+		d := serveParams()
+		set(&d)
+		if paramsDigest(a) != paramsDigest(d) {
+			t.Errorf("host field %s must not affect the digest", name)
+		}
+	}
 }

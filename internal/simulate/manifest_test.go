@@ -3,6 +3,7 @@ package simulate
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -167,4 +168,82 @@ func TestObsDisabledLeavesResultBare(t *testing.T) {
 	if r.Phases != nil || r.Spans != nil {
 		t.Errorf("disabled obs must leave Phases/Spans nil")
 	}
+}
+
+// TestManifestRecordsSimParams pins the Params split: a run manifest
+// records every simulated field and no host field. One run's manifest is
+// rebuilt with each leaf of SimParams (recursing into Energy) changed in
+// turn, which must change its Deterministic() bytes, and with each
+// HostParams field changed in turn, which must not.
+func TestManifestRecordsSimParams(t *testing.T) {
+	if n := reflect.TypeOf(Params{}).NumField(); n != 3 {
+		t.Fatalf("Params has %d fields, want SimParams, HostParams and Obs", n)
+	}
+	p := goldenParams()
+	p.Obs = obs.NewRegistry()
+	res, err := Run(Mondrian, OpScan, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifest := func(p Params) []byte {
+		b, err := json.Marshal(BuildManifest(res, p, false).Deterministic())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	base := manifest(p)
+	for _, half := range []struct {
+		name     string
+		recorded bool
+	}{{"SimParams", true}, {"HostParams", false}} {
+		typ, _ := reflect.TypeOf(p).FieldByName(half.name)
+		leaves := leafFields(typ.Type, half.name, nil)
+		if len(leaves) == 0 {
+			t.Fatalf("%s has no fields", half.name)
+		}
+		for _, leaf := range leaves {
+			q := p
+			f := reflect.ValueOf(&q).Elem().FieldByName(half.name).FieldByIndex(leaf.index)
+			switch f.Kind() {
+			case reflect.Bool:
+				f.SetBool(!f.Bool())
+			case reflect.Int, reflect.Int64:
+				f.SetInt(f.Int() + 1)
+			case reflect.Uint64:
+				f.SetUint(f.Uint() + 1)
+			case reflect.Float64:
+				f.SetFloat(2*f.Float() + 1)
+			default:
+				t.Fatalf("%s: no change defined for kind %v", leaf.name, f.Kind())
+			}
+			if changed := !bytes.Equal(base, manifest(q)); changed != half.recorded {
+				t.Errorf("changing %s changed the manifest: %v, want %v", leaf.name, changed, half.recorded)
+			}
+		}
+	}
+}
+
+// leafField is one non-struct field under a struct type: its dotted name
+// and its index path for reflect.Value.FieldByIndex.
+type leafField struct {
+	name  string
+	index []int
+}
+
+// leafFields lists every non-struct field under typ, recursing into
+// struct-typed fields.
+func leafFields(typ reflect.Type, prefix string, index []int) []leafField {
+	var out []leafField
+	for i := range typ.NumField() {
+		f := typ.Field(i)
+		path := append(append([]int(nil), index...), i)
+		name := prefix + "." + f.Name
+		if f.Type.Kind() == reflect.Struct {
+			out = append(out, leafFields(f.Type, name, path)...)
+			continue
+		}
+		out = append(out, leafField{name, path})
+	}
+	return out
 }

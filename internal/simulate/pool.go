@@ -9,8 +9,8 @@ import "github.com/ecocloud-go/mondrian/internal/engine"
 // stream buffers per run. Pooling is a host-execution choice only: an
 // acquired engine is reset to pristine state, so report JSON is
 // byte-identical to a fresh-engine run (TestResetEquivalence).
-// Params.NoPool (or MONDRIAN_NO_POOL) restores the build-per-run
-// lifecycle.
+// Params.NoPool restores the build-per-run lifecycle, the reference the
+// pool tests compare against.
 var enginePool = engine.NewPool(0)
 
 // acquireEngine returns an engine for the run plus its release hook.
@@ -36,6 +36,6 @@ func acquireEngine(p Params, s System) (*engine.Engine, func(), error) {
 }
 
 // PoolStats returns the shared engine pool's traffic counters (hits,
-// misses, discards) — the amortization evidence mondrian-sim -repeat and
-// the serving benchmark report.
+// misses, discards) — the amortization evidence perfbench reports as
+// simulate.pool_hit_ratio.
 func PoolStats() engine.PoolStats { return enginePool.Stats() }

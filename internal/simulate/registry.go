@@ -45,8 +45,8 @@ type Spec struct {
 	Name string
 	// Engine is the identity template. EngineConfig copies it and fills
 	// the Params-owned fields: Cubes, VaultsPer, Geometry, Timing,
-	// ObjectSize, BarrierNs, Parallelism, NoBulk — plus CPUCores on the
-	// CPU architecture.
+	// ObjectSize, BarrierNs, SkewAware, Parallelism, NoBulk and Obs —
+	// plus CPUCores on the CPU architecture.
 	Engine engine.Config
 	// SortProbe selects the sort-based probe algorithms (§6: NMP-seq
 	// and the Mondrian variants); false selects the hash algorithms.

@@ -14,9 +14,6 @@ package simulate
 
 import (
 	"fmt"
-	"io"
-	"os"
-	"strconv"
 
 	"github.com/ecocloud-go/mondrian/internal/dram"
 	"github.com/ecocloud-go/mondrian/internal/energy"
@@ -28,73 +25,13 @@ import (
 
 // Params fixes the experimental setup (Table 3 scaled to the simulation
 // budget: speedups are ratios and the model is scale-invariant, so the
-// dataset is a configurable fraction of the paper's 32 GB).
+// dataset is a configurable fraction of the paper's 32 GB). It is two
+// halves: SimParams, everything that can change a simulated result, and
+// HostParams, how the host executes it. Run manifests record SimParams
+// verbatim and leave HostParams out.
 type Params struct {
-	Cubes     int
-	VaultsPer int
-	CPUCores  int
-	// VaultCapBytes sizes each vault's DRAM (the real HMC vault is
-	// 512 MB; experiments allocate datasets plus scratch within it).
-	VaultCapBytes int64
-	// STuples is the large-relation cardinality (also the Scan/Sort/
-	// Group-by input size); RTuples the small join relation.
-	STuples, RTuples int
-	// GroupSize is the Group-by average group size (4 in the paper).
-	GroupSize int
-	// KeySpace bounds keys; must be a power of two for range math.
-	KeySpace uint64
-	// CPUBuckets is the CPU's radix partition count. The paper's CPU
-	// code hashes the keys' 16 low-order bits (2^16 partitions)
-	// regardless of dataset size; 0 selects cache-targeted auto-sizing.
-	CPUBuckets int
-	Seed       int64
-	// BarrierNs is the all-to-all notification cost (§5.4).
-	BarrierNs float64
-	// Energy holds the Table 4 constants.
-	Energy energy.Params
-	// Parallelism bounds the host worker pool executing per-vault work
-	// (0 = GOMAXPROCS, 1 = serial). Results are bit-identical at every
-	// setting; only wall-clock time changes. Overridable with the
-	// MONDRIAN_PARALLELISM environment variable.
-	Parallelism int
-	// NoBulk disables the engine's run-based bulk access fast path,
-	// forcing the per-tuple reference loops everywhere. Results are
-	// byte-identical either way; only wall-clock time changes.
-	// Overridable with the MONDRIAN_NO_BULK environment variable.
-	NoBulk bool
-	// SkewAware enables the skew-aware execution path: heavy-hitter
-	// detection during the partition phase, exact-histogram destination
-	// provisioning (replacing overflow-and-retry), hot-key splitting in
-	// the Group-by/Join probes, and deterministic work stealing in the
-	// engine's dispatch. On inputs where the default path succeeds,
-	// report JSON is byte-identical with the flag on or off — only host
-	// wall-clock time and the skew_* observability metrics differ.
-	// Overridable with the MONDRIAN_SKEW_AWARE environment variable.
-	SkewAware bool
-	// NoPool disables engine pooling: every run constructs a fresh engine
-	// with engine.New and discards it, the pre-PR-9 lifecycle. Pooling
-	// (the default) acquires a reset engine from the shared pool and
-	// releases it after the run; like Parallelism/NoBulk it is a
-	// host-execution choice only — report JSON is byte-identical either
-	// way (TestResetEquivalence asserts it). Overridable with the
-	// MONDRIAN_NO_POOL environment variable.
-	NoPool bool
-	// ZipfS selects skewed workloads: 0 (the default) keeps the uniform
-	// generators; a finite exponent > 1 draws the Scan/Sort/Group-by
-	// input keys (and the Join probe relation's foreign keys) from a
-	// Zipf distribution with that exponent.
-	ZipfS float64
-	// Overprovision scales the partition phase's destination-buffer
-	// estimate (0 = the operator default of 2×). Skewed workloads need
-	// more; skew-aware runs provision exactly and ignore the shortfall.
-	Overprovision float64
-	// NoFusion disables the query-plan compiler's re-shuffle elision:
-	// every plan stage re-partitions its inputs from scratch, reproducing
-	// staged one-operator-at-a-time execution. Output multisets are
-	// identical either way — fusion changes simulated cost, never
-	// results. Ignored by single-operator runs; plan manifests record it
-	// as a "+staged" operator suffix.
-	NoFusion bool
+	SimParams
+	HostParams
 	// Obs, when non-nil, enables the observability layer: Run collects
 	// every deterministic run statistic into this registry and populates
 	// Result.Phases/Spans. nil (the default) costs nothing. Excluded from
@@ -102,14 +39,81 @@ type Params struct {
 	Obs *obs.Registry `json:"-"`
 }
 
+// SimParams is the simulated configuration: every field can change a
+// simulated result, so a run manifest records all of them. Struct fields
+// marshal in declaration order, keeping the JSON deterministic.
+type SimParams struct {
+	Cubes     int `json:"cubes"`
+	VaultsPer int `json:"vaults_per"`
+	CPUCores  int `json:"cpu_cores"`
+	// VaultCapBytes sizes each vault's DRAM (the real HMC vault is
+	// 512 MB; experiments allocate datasets plus scratch within it).
+	VaultCapBytes int64 `json:"vault_cap_bytes"`
+	// STuples is the large-relation cardinality (also the Scan/Sort/
+	// Group-by input size); RTuples the small join relation.
+	STuples int `json:"s_tuples"`
+	RTuples int `json:"r_tuples"`
+	// GroupSize is the Group-by average group size (4 in the paper).
+	GroupSize int `json:"group_size"`
+	// KeySpace bounds keys; must be a power of two for range math.
+	KeySpace uint64 `json:"key_space"`
+	// CPUBuckets is the CPU's radix partition count. The paper's CPU
+	// code hashes the keys' 16 low-order bits (2^16 partitions)
+	// regardless of dataset size; 0 selects cache-targeted auto-sizing.
+	CPUBuckets int   `json:"cpu_buckets"`
+	Seed       int64 `json:"seed"`
+	// BarrierNs is the all-to-all notification cost (§5.4).
+	BarrierNs float64 `json:"barrier_ns"`
+	// Energy holds the Table 4 constants.
+	Energy energy.Params `json:"energy"`
+	// SkewAware enables the skew-aware execution path: heavy-hitter
+	// detection during the partition phase, exact-histogram destination
+	// provisioning (replacing overflow-and-retry), hot-key splitting in
+	// the Group-by/Join probes, and deterministic work stealing in the
+	// engine's dispatch. On inputs where the default path succeeds,
+	// report JSON is byte-identical with the flag on or off — only host
+	// wall-clock time and the skew_* observability metrics differ.
+	SkewAware bool `json:"skew_aware"`
+	// ZipfS selects skewed workloads: 0 (the default) keeps the uniform
+	// generators; a finite exponent > 1 draws the Scan/Sort/Group-by
+	// input keys (and the Join probe relation's foreign keys) from a
+	// Zipf distribution with that exponent.
+	ZipfS float64 `json:"zipf_s"`
+	// Overprovision scales the partition phase's destination-buffer
+	// estimate (0 = the operator default of 2×). Skewed workloads need
+	// more; skew-aware runs provision exactly and ignore the shortfall.
+	Overprovision float64 `json:"overprovision"`
+	// NoFusion disables the query-plan compiler's re-shuffle elision:
+	// every plan stage re-partitions its inputs from scratch, reproducing
+	// staged one-operator-at-a-time execution. Output multisets are
+	// identical either way — fusion changes simulated cost, never
+	// results. Ignored by single-operator runs; plan manifests also
+	// record it as a "+staged" operator suffix.
+	NoFusion bool `json:"no_fusion"`
+}
+
+// HostParams is how the host executes a run. Results are byte-identical
+// at every setting; only wall-clock time changes, so run manifests leave
+// these out. NoBulk and NoPool select the reference paths the
+// differential tests compare against.
+type HostParams struct {
+	// Parallelism bounds the host worker pool executing per-vault work
+	// (0 = GOMAXPROCS, 1 = serial).
+	Parallelism int
+	// NoBulk disables the engine's run-based bulk access fast path,
+	// forcing the per-tuple reference loops everywhere.
+	NoBulk bool
+	// NoPool disables engine pooling: every run constructs a fresh engine
+	// with engine.New and discards it. Pooling (the default) acquires a
+	// reset engine from the shared pool and releases it after the run
+	// (TestResetEquivalence asserts the two agree byte for byte).
+	NoPool bool
+}
+
 // DefaultParams returns the paper's system shape (4 cubes × 16 vaults,
 // 16 CPU cores) with a laptop-scale dataset.
 func DefaultParams() Params {
-	return Params{
-		Parallelism:   envParallelism(),
-		NoBulk:        envBool("MONDRIAN_NO_BULK", "bulk fast path disabled"),
-		SkewAware:     envBool("MONDRIAN_SKEW_AWARE", "skew-aware execution enabled"),
-		NoPool:        envBool("MONDRIAN_NO_POOL", "engine pooling disabled"),
+	return Params{SimParams: SimParams{
 		Cubes:         4,
 		VaultsPer:     16,
 		CPUCores:      16,
@@ -122,7 +126,7 @@ func DefaultParams() Params {
 		CPUBuckets:    1 << 16,
 		BarrierNs:     2000,
 		Energy:        energy.DefaultParams(),
-	}
+	}}
 }
 
 // TestParams returns a shrunken setup for fast tests.
@@ -140,45 +144,6 @@ func TestParams() Params {
 	p.KeySpace = 1 << 20
 	p.CPUBuckets = 1 << 12
 	return p
-}
-
-// envWarnOut receives one-line warnings about unusable environment-variable
-// overrides. A variable (swapped by tests) rather than os.Stderr directly.
-var envWarnOut io.Writer = os.Stderr
-
-// envParallelism reads the MONDRIAN_PARALLELISM override (0 or unset =
-// GOMAXPROCS, 1 = serial, N = N workers). A value that is not a
-// non-negative integer is reported with a one-line warning naming the
-// variable and value — never silently mapped to the default.
-func envParallelism() int {
-	v := os.Getenv("MONDRIAN_PARALLELISM")
-	if v == "" {
-		return 0
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		fmt.Fprintf(envWarnOut, "mondrian: ignoring MONDRIAN_PARALLELISM=%q: want a non-negative integer; using the default (GOMAXPROCS)\n", v)
-		return 0
-	}
-	return n
-}
-
-// envBool reads a boolean override such as MONDRIAN_NO_BULK. Boolean
-// spellings (0/1/true/false/...) parse as usual; anything else non-empty
-// keeps the documented meaning "set" but is reported with a one-line
-// warning that names the variable and value and says what being set
-// does (setMeaning).
-func envBool(name, setMeaning string) bool {
-	v := os.Getenv(name)
-	if v == "" {
-		return false
-	}
-	b, err := strconv.ParseBool(v)
-	if err != nil {
-		fmt.Fprintf(envWarnOut, "mondrian: %s=%q is not a boolean; treating as set (%s)\n", name, v, setMeaning)
-		return true
-	}
-	return b
 }
 
 // geometry derives the per-vault DRAM geometry.

@@ -1,9 +1,7 @@
 package simulate
 
 import (
-	"bytes"
 	"errors"
-	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -184,75 +182,5 @@ func TestProtectConvertsPanics(t *testing.T) {
 	}
 	if err := Protect("ok", func() error { return nil }); err != nil {
 		t.Fatalf("Protect without panic returned %v", err)
-	}
-}
-
-// TestEnvOverrideWarnings checks that garbage MONDRIAN_PARALLELISM and
-// boolean-override values produce a one-line warning naming the variable
-// and value instead of being silently mapped.
-func TestEnvOverrideWarnings(t *testing.T) {
-	var buf bytes.Buffer
-	old := envWarnOut
-	envWarnOut = &buf
-	defer func() { envWarnOut = old }()
-
-	t.Setenv("MONDRIAN_PARALLELISM", "-3")
-	if got := envParallelism(); got != 0 {
-		t.Fatalf("envParallelism(-3) = %d, want default 0", got)
-	}
-	t.Setenv("MONDRIAN_PARALLELISM", "abc")
-	if got := envParallelism(); got != 0 {
-		t.Fatalf("envParallelism(abc) = %d, want default 0", got)
-	}
-	t.Setenv("MONDRIAN_PARALLELISM", "4")
-	if got := envParallelism(); got != 4 {
-		t.Fatalf("envParallelism(4) = %d", got)
-	}
-	warns := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
-	if len(warns) != 2 {
-		t.Fatalf("want 2 warnings, got %q", buf.String())
-	}
-	for i, v := range []string{"-3", "abc"} {
-		if !strings.Contains(warns[i], "MONDRIAN_PARALLELISM") || !strings.Contains(warns[i], v) {
-			t.Fatalf("warning %q does not name the variable and value %q", warns[i], v)
-		}
-	}
-
-	// The boolean overrides share one reader; each is read through
-	// DefaultParams so the variable name, the Params field and the
-	// warning's "treating as set" meaning are pinned together.
-	vars := []struct {
-		name, meaning string
-		field         func(Params) bool
-	}{
-		{"MONDRIAN_NO_BULK", "bulk fast path disabled", func(p Params) bool { return p.NoBulk }},
-		{"MONDRIAN_SKEW_AWARE", "skew-aware execution enabled", func(p Params) bool { return p.SkewAware }},
-		{"MONDRIAN_NO_POOL", "engine pooling disabled", func(p Params) bool { return p.NoPool }},
-	}
-	for _, ev := range vars {
-		for _, other := range vars {
-			t.Setenv(other.name, "")
-		}
-		for _, tc := range []struct {
-			val      string
-			want     bool
-			wantWarn bool
-		}{
-			{"", false, false}, {"1", true, false}, {"0", false, false},
-			{"true", true, false}, {"false", false, false}, {"abc", true, true},
-		} {
-			buf.Reset()
-			t.Setenv(ev.name, tc.val)
-			if got := ev.field(DefaultParams()); got != tc.want {
-				t.Fatalf("%s=%q: got %v, want %v", ev.name, tc.val, got, tc.want)
-			}
-			if warned := buf.Len() > 0; warned != tc.wantWarn {
-				t.Fatalf("%s=%q warned=%v, want %v (%q)", ev.name, tc.val, warned, tc.wantWarn, buf.String())
-			}
-			want := fmt.Sprintf("mondrian: %s=%q is not a boolean; treating as set (%s)\n", ev.name, tc.val, ev.meaning)
-			if tc.wantWarn && buf.String() != want {
-				t.Fatalf("warning %q, want %q", buf.String(), want)
-			}
-		}
 	}
 }
