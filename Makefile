@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race race-smoke fuzz bench-smoke bench-baseline bench-guard bench-compare serve-smoke staticcheck ci
+.PHONY: build test vet fmt-check race race-smoke fuzz bench-smoke bench-baseline bench-guard bench-compare serve-smoke examples-smoke staticcheck ci
 
 build:
 	$(GO) build ./...
@@ -110,9 +110,19 @@ bench-compare:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
+# Run every program under examples/ once; fail on a non-zero exit or on
+# a ✗ (a failed verification row) anywhere in its output. Each example
+# finishes in seconds.
+examples-smoke:
+	@for ex in examples/*/; do \
+		echo "== $$ex"; \
+		out=$$($(GO) run ./$$ex 2>&1) || { echo "$$out"; echo "$$ex exited non-zero"; exit 1; }; \
+		if printf '%s\n' "$$out" | grep -q '✗'; then echo "$$out"; echo "$$ex reported ✗"; exit 1; fi; \
+	done
+
 # ci mirrors .github/workflows/ci.yml: tier-1 format check, build, vet
-# and test, the race pass and the focused race smoke, then the perfbench
-# module's vet and tests (its own module, so `go vet ./...` and
-# `go test ./...` skip it).
-ci: fmt-check test vet race race-smoke
+# and test, the race pass and the focused race smoke, the examples
+# smoke, then the perfbench module's vet and tests (its own module, so
+# `go vet ./...` and `go test ./...` skip it).
+ci: fmt-check test vet race race-smoke examples-smoke
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...

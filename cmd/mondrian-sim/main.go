@@ -101,7 +101,7 @@ func run() error {
 		steps    = flag.Bool("steps", false, "print the per-step timeline")
 
 		// Skew knobs.
-		skewAware = flag.Bool("skew-aware", false, "enable skew-aware execution (heavy-hitter detection, exact provisioning, hot-key splitting, work stealing)")
+		skewAware = flag.Bool("skew-aware", false, "provision partition buffers exactly from the exchanged histograms instead of failing with a partition overflow (§5.4)")
 		zipfS     = flag.Float64("zipf-s", 0, "Zipf exponent for skewed workload keys (0 = uniform; must be > 1 otherwise)")
 		overprov  = flag.Float64("overprovision", 0, "destination-buffer overprovision factor (0 = operator default)")
 

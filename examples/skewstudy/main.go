@@ -10,13 +10,11 @@
 //     retry loop. Every overflow is an "overflow near-miss": a full
 //     partition attempt thrown away.
 //
-//   - skew-AWARE (Params.SkewAware): the partition phase provisions each
-//     destination exactly from the histogram exchange it already runs, a
-//     SpaceSaving sketch flags the heavy-hitter keys, hot groups split
-//     across host workers with an exact merge-side combine, and the
-//     worker pool steals tasks in deterministic LPT order. One attempt,
-//     no retries — and byte-identical simulated results wherever the
-//     unaware path also completes.
+//   - skew-AWARE (Params.SkewAware): exact provisioning. The partition
+//     phase sizes each destination from the histogram exchange it already
+//     runs, so it never overflows. One attempt, no retries — and
+//     byte-identical simulated results wherever the unaware path also
+//     completes.
 //
 // The table prints, per (system, skew): the inbound load imbalance
 // (max/mean vault load), the retry count and final overprovision factor

@@ -102,17 +102,6 @@ type Config struct {
 	// byte-identical at every Parallelism. nil (the default) is the
 	// near-zero-cost disabled path.
 	Obs *obs.Registry
-	// SkewAware enables deterministic work stealing in the host worker
-	// pool: weighted parallel sections (ForEachVaultWeighted /
-	// ForEachTaskWeighted) dispatch tasks heaviest-first (LPT order), so
-	// idle workers drain a straggler vault's queue instead of idling
-	// behind it. The dispatch permutation is a pure function of the task
-	// weights — independent of worker count — and parallel sections touch
-	// only index-owned state, so simulated results stay byte-identical to
-	// a skew-unaware run; only host wall-clock time and the skew_* obs
-	// metrics change. Ignored on the CPU, whose cores share the LLC and
-	// so make order-dependent accesses.
-	SkewAware bool
 }
 
 // Validate checks internal consistency, including every cache geometry
@@ -313,11 +302,9 @@ type Engine struct {
 	stepUnits   [][]float64 // per-step per-unit TimeNs, aligned with steps
 	exchanges   []exchangeRecord
 
-	// Skew-aware accounting (obs.go / parallel.go); all updated at serial
-	// points, so deterministic at every parallelism level.
-	stolenTasks uint64
-	splitKeys   uint64
-	skewStats   []skewStat
+	// Skew observations (obs.go), recorded at serial points, so
+	// deterministic at every parallelism level.
+	skewStats []skewStat
 }
 
 // New builds an engine from a configuration, assembling the hardware

@@ -262,13 +262,11 @@ func (x *Exchange) recordObs(msgSize int) {
 }
 
 // skewStat is one phase's skew observation: the exact destination-load
-// spread from the histogram exchange plus the heavy-hitter count the
-// detector flagged. Recorded serially between steps.
+// spread from the histogram exchange. Recorded serially between steps.
 type skewStat struct {
 	phase    string
 	maxLoad  float64
 	meanLoad float64
-	hotKeys  int
 }
 
 // RecordSkew stores one skew observation for the currently open phase (or
@@ -276,28 +274,13 @@ type skewStat struct {
 // by the partition phase on skew-aware runs; the values come from the
 // exact exchanged histograms, so they are deterministic at every
 // parallelism level.
-func (e *Engine) RecordSkew(maxLoad, meanLoad float64, hotKeys int) {
+func (e *Engine) RecordSkew(maxLoad, meanLoad float64) {
 	phase := ""
 	if e.phaseOpen {
 		phase = e.curPhase.Name
 	}
-	e.skewStats = append(e.skewStats, skewStat{phase: phase, maxLoad: maxLoad, meanLoad: meanLoad, hotKeys: hotKeys})
+	e.skewStats = append(e.skewStats, skewStat{phase: phase, maxLoad: maxLoad, meanLoad: meanLoad})
 }
-
-// RecordSplitKeys counts hot keys whose work was split across host workers
-// with a merge-side combine (operator-layer hot-key splitting). Called at
-// serial points only.
-func (e *Engine) RecordSplitKeys(n int) {
-	e.splitKeys += uint64(n)
-}
-
-// StolenTasks returns the cumulative count of tasks dispatched out of
-// their natural order by the skew-aware worker pool — a pure function of
-// the task weights, identical at every parallelism level.
-func (e *Engine) StolenTasks() uint64 { return e.stolenTasks }
-
-// SplitKeys returns the cumulative hot-key split count.
-func (e *Engine) SplitKeys() uint64 { return e.splitKeys }
 
 // Histogram bucket bounds for CollectObs. Hop bounds cover the 4×4 mesh
 // diameter; step bounds span µs-to-ms simulated step durations.
@@ -307,11 +290,10 @@ var (
 )
 
 // CollectObs harvests every deterministic run statistic into reg: totals,
-// per-unit and per-vault counters (recorded through per-unit shards and
-// merged in unit-ID order — the same shard/merge discipline the worker
-// pool uses), per-link SerDes traffic, hop and step-duration histograms,
-// exchange summaries, and per-phase attribution. Call after the run
-// completes; a nil registry is a no-op.
+// per-unit and per-vault counters (in unit- and vault-ID order), per-link
+// SerDes traffic, hop and step-duration histograms, exchange summaries,
+// and per-phase attribution. Call after the run completes; a nil registry
+// is a no-op.
 func (e *Engine) CollectObs(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -377,20 +359,11 @@ func (e *Engine) CollectObs(reg *obs.Registry) {
 		stepHist.Observe(st.Ns)
 	}
 
-	// Per-unit counters go through one shard per unit, merged in unit-ID
-	// order — production exercise of the same discipline the worker pool
-	// relies on for lock-free recording.
-	shards := make([]*obs.Registry, len(e.units))
 	for i, u := range e.units {
-		sh := reg.NewShard()
 		id := strconv.Itoa(i)
-		sh.Gauge(obs.Label("unit_busy_ns", "unit", id)).Set(u.busyNs)
-		sh.Gauge(obs.Label("unit_instructions", "unit", id)).Set(u.instTotal)
-		sh.Counter(obs.Label("unit_accesses", "unit", id)).Add(u.accessTotal + u.accesses)
-		shards[i] = sh
-	}
-	if err := reg.Merge(shards...); err != nil {
-		panic(fmt.Sprintf("engine: per-unit shard merge: %v", err)) // disjoint names; unreachable
+		reg.Gauge(obs.Label("unit_busy_ns", "unit", id)).Set(u.busyNs)
+		reg.Gauge(obs.Label("unit_instructions", "unit", id)).Set(u.instTotal)
+		reg.Counter(obs.Label("unit_accesses", "unit", id)).Add(u.accessTotal + u.accesses)
 	}
 
 	for _, v := range e.Sys.Vaults() {
@@ -404,17 +377,12 @@ func (e *Engine) CollectObs(reg *obs.Registry) {
 		}
 	}
 
-	// Skew metrics are emitted only on skew-aware runs so that manifests
-	// of skew-unaware runs are byte-for-byte unchanged by this feature.
-	if e.cfg.SkewAware {
-		reg.Counter("skew_tasks_stolen").Add(e.stolenTasks)
-		reg.Counter("skew_split_keys").Add(e.splitKeys)
-		for _, s := range e.skewStats {
-			lbl := func(name string) string { return obs.Label(name, "phase", s.phase) }
-			reg.Gauge(lbl("phase_load_max")).Set(s.maxLoad)
-			reg.Gauge(lbl("phase_load_mean")).Set(s.meanLoad)
-			reg.Gauge(lbl("phase_hot_keys")).Set(float64(s.hotKeys))
-		}
+	// Only skew-aware partition phases record skew observations, so
+	// manifests of skew-unaware runs carry no load gauges.
+	for _, s := range e.skewStats {
+		lbl := func(name string) string { return obs.Label(name, "phase", s.phase) }
+		reg.Gauge(lbl("phase_load_max")).Set(s.maxLoad)
+		reg.Gauge(lbl("phase_load_mean")).Set(s.meanLoad)
 	}
 
 	for _, p := range e.phases {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -78,60 +77,7 @@ func (e *Engine) ForEachVault(fn func(v int, u *Unit) error) error {
 // the vault-resident architectures, where buckets and probe groups are
 // 1:1 with vaults; the CPU architecture always runs serially).
 func (e *Engine) ForEachTask(n int, fn func(i int) error) error {
-	return e.forEachOrdered(n, nil, fn)
-}
-
-// ForEachVaultWeighted is ForEachVault with a per-vault work estimate
-// (typically the vault's input tuple count). On skew-aware engines the
-// tasks are dispatched in LPT (heaviest-first) order so that a straggler
-// vault's work starts first and idle workers drain the remaining queue —
-// deterministic work stealing. Simulated results are unchanged: the
-// permutation is a pure function of the weights, and per-vault sections
-// touch only vault-owned state. Skew-unaware engines ignore the weights.
-func (e *Engine) ForEachVaultWeighted(weights []float64, fn func(v int, u *Unit) error) error {
-	if e.cfg.Arch == CPU {
-		panic("engine: ForEachVault on a host-core system")
-	}
-	return e.forEachOrdered(len(e.units), e.stealOrder(len(e.units), weights),
-		func(i int) error { return fn(i, e.units[i]) })
-}
-
-// ForEachTaskWeighted is ForEachTask with per-task work estimates; see
-// ForEachVaultWeighted for the dispatch-order contract.
-func (e *Engine) ForEachTaskWeighted(n int, weights []float64, fn func(i int) error) error {
-	return e.forEachOrdered(n, e.stealOrder(n, weights), fn)
-}
-
-// stealOrder computes the LPT dispatch permutation for n weighted tasks:
-// indices sorted by weight descending, index ascending on ties. It returns
-// nil (natural order) when stealing is disabled, the units share state
-// (the CPU: dispatch order would change simulated results), the weights are
-// malformed, or the permutation is the identity. Positions dispatched out
-// of their natural slot count as stolen tasks — a pure function of the
-// weights, so the skew_tasks_stolen metric is identical at every
-// parallelism level.
-func (e *Engine) stealOrder(n int, weights []float64) []int {
-	if !e.cfg.SkewAware || e.cfg.Arch == CPU || n < 2 || len(weights) != n {
-		return nil
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return weights[order[a]] > weights[order[b]]
-	})
-	stolen := uint64(0)
-	for i, idx := range order {
-		if idx != i {
-			stolen++
-		}
-	}
-	if stolen == 0 {
-		return nil
-	}
-	e.stolenTasks += stolen
-	return order
+	return e.forEach(n, fn)
 }
 
 // PanicError carries a panic recovered on a worker goroutine together with
@@ -158,20 +104,13 @@ func (p *PanicError) Unwrap() error {
 	return nil
 }
 
-// forEach is the shared driver for natural-order sections.
+// forEach runs fn(i) for i in [0,n) over the worker pool. Work is handed
+// out through an atomic cursor; results are indexed by task so error/panic
+// selection is deterministic — the lowest-index error wins regardless of
+// which worker ran it. Traces buffer per unit while workers run in
+// parallel and flush in unit-ID order, so the trace stream is identical at
+// every worker count.
 func (e *Engine) forEach(n int, fn func(i int) error) error {
-	return e.forEachOrdered(n, nil, fn)
-}
-
-// forEachOrdered runs fn(i) for i in [0,n), dispatching in the given order
-// (nil = natural). Work is handed out through an atomic cursor; results
-// are indexed by task so error/panic selection is deterministic — the
-// lowest-INDEX error wins regardless of dispatch order. Traces buffer per
-// unit whenever execution can deviate from natural serial order (parallel
-// workers, or a serial pass over a reordered queue) and flush in unit-ID
-// order, so the trace stream is identical at every worker count and
-// dispatch order.
-func (e *Engine) forEachOrdered(n int, order []int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -180,22 +119,11 @@ func (e *Engine) forEachOrdered(n int, order []int, fn func(i int) error) error 
 		w = n
 	}
 	if w <= 1 {
-		buffered := e.tracer != nil && order != nil
-		if buffered {
-			e.beginTraceBuffer()
-		}
 		// Serial mode still runs every index and reports the
 		// lowest-index error so error behavior matches parallel runs.
 		errs := make([]error, n)
 		for i := 0; i < n; i++ {
-			idx := i
-			if order != nil {
-				idx = order[i]
-			}
-			errs[idx] = fn(idx)
-		}
-		if buffered {
-			e.flushTraceBuffer()
+			errs[i] = fn(i)
 		}
 		for _, err := range errs {
 			if err != nil {
@@ -222,21 +150,17 @@ func (e *Engine) forEachOrdered(n int, order []int, fn func(i int) error) error 
 				if i >= n {
 					return
 				}
-				idx := i
-				if order != nil {
-					idx = order[i]
-				}
 				func() {
 					defer func() {
 						if r := recover(); r != nil {
 							if _, ok := r.(*PanicError); !ok {
 								r = &PanicError{Value: r, Stack: debug.Stack()}
 							}
-							panics[idx] = r
+							panics[i] = r
 							panicked.Store(true)
 						}
 					}()
-					errs[idx] = fn(idx)
+					errs[i] = fn(i)
 				}()
 			}
 		}()

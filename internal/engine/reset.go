@@ -86,9 +86,6 @@ func (e *Engine) Reset() {
 	e.phases = nil
 	e.stepUnits = nil
 	e.exchanges = nil
-
-	e.stolenTasks = 0
-	e.splitKeys = 0
 	e.skewStats = nil
 }
 

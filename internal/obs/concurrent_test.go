@@ -65,35 +65,27 @@ func TestConcurrentRegistryHammer(t *testing.T) {
 	}
 }
 
-// TestConcurrentMergeAndIdempotence: Merge still works in Concurrent
-// mode (shards are plain registries), and Concurrent() is idempotent and
-// nil-safe.
-func TestConcurrentMergeAndIdempotence(t *testing.T) {
+// TestConcurrentIdempotence: Concurrent() is idempotent and nil-safe,
+// and stamps the handles registered before the switch.
+func TestConcurrentIdempotence(t *testing.T) {
 	var nilReg *Registry
 	if nilReg.Concurrent() != nil {
 		t.Fatalf("nil.Concurrent() must stay nil")
 	}
-	r := NewRegistry().Concurrent()
-	if r.Concurrent() != r {
+	r := NewRegistry()
+	c := r.Counter("c")
+	c.Add(5)
+	if r.Concurrent() != r || r.Concurrent() != r {
 		t.Fatalf("Concurrent must be idempotent")
 	}
-	sh := r.NewShard()
-	sh.Counter("c").Add(5)
-	sh.Histogram("h", []float64{1}).Observe(0.5)
-	if err := r.Merge(sh); err != nil {
-		t.Fatalf("merge into concurrent registry: %v", err)
-	}
-	if r.Counter("c").Value() != 5 {
-		t.Fatalf("merge lost counter")
-	}
-	// Handles registered via Merge must be stamped: hammer one briefly.
+	// The pre-switch handle must be stamped: hammer it briefly.
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				r.Counter("c").Inc()
+				c.Inc()
 				_ = r.Snapshot()
 			}
 		}()

@@ -30,7 +30,12 @@ type HostInfo struct {
 	GOOS        string `json:"goos,omitempty"`
 	GOARCH      string `json:"goarch,omitempty"`
 	GitRevision string `json:"git_revision,omitempty"`
-	Parallelism int    `json:"parallelism,omitempty"`
+	// Parallelism is the resolved host worker setting (GOMAXPROCS when
+	// the run asked for 0); NoBulk and NoPool record whether the run used
+	// the per-tuple reference loops and bypassed the engine pool.
+	Parallelism int    `json:"parallelism"`
+	NoBulk      bool   `json:"no_bulk"`
+	NoPool      bool   `json:"no_pool"`
 	WallNs      int64  `json:"wall_ns,omitempty"`
 	Timestamp   string `json:"timestamp,omitempty"`
 }
@@ -127,15 +132,22 @@ func (m Manifest) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// NewHostInfo captures the current process's build/runtime identity.
-// Timestamp and WallNs are left for the caller (they need a clock).
-func NewHostInfo(parallelism int) HostInfo {
+// NewHostInfo captures the current process's build/runtime identity and
+// the run's host execution settings; a parallelism of 0 resolves to
+// GOMAXPROCS. Timestamp and WallNs are left for the caller (they need a
+// clock).
+func NewHostInfo(parallelism int, noBulk, noPool bool) HostInfo {
+	if parallelism == 0 {
+		parallelism = runtime.GOMAXPROCS(0)
+	}
 	return HostInfo{
 		GoVersion:   runtime.Version(),
 		GOOS:        runtime.GOOS,
 		GOARCH:      runtime.GOARCH,
 		GitRevision: GitRevision(),
 		Parallelism: parallelism,
+		NoBulk:      noBulk,
+		NoPool:      noPool,
 	}
 }
 

@@ -11,9 +11,7 @@
 //     harvests metrics from the simulation's own deterministic statistics
 //     (cache/DRAM/NoC counters, per-unit accumulators) at serial points —
 //     step and phase boundaries — rather than instrumenting concurrent
-//     hot paths. Registries are shard-mergeable (NewShard/Merge) so
-//     per-worker recording composes into one deterministic total when the
-//     shards are merged in a fixed order.
+//     hot paths.
 //   - Near-zero cost when disabled. A nil *Registry is a valid "off"
 //     handle: every method on a nil Registry, Counter, Gauge or Histogram
 //     is a no-op returning nil, so instrumented code needs no branches
@@ -24,11 +22,10 @@
 //
 // Metrics are identified by name; a Prometheus-style label set may be
 // embedded in the name with Label (`dram_row_hits{vault="3"}`). Metrics
-// are not internally synchronized by default: a registry (or shard) must
-// be owned by one goroutine at a time, which is exactly the worker-pool
-// shard model. A long-lived serving registry that must be snapshotted
-// while writers are active opts into synchronization with Concurrent()
-// — see its doc for the exact contract.
+// are not internally synchronized by default: a registry must be owned by
+// one goroutine at a time. A long-lived serving registry that must be
+// snapshotted while writers are active opts into synchronization with
+// Concurrent() — see its doc for the exact contract.
 package obs
 
 import (
@@ -77,9 +74,8 @@ func (c *Counter) Value() uint64 {
 // Gauge is a float64 metric representing a current value. A nil Gauge
 // ignores all updates.
 type Gauge struct {
-	v   float64
-	set bool
-	mu  *sync.Mutex // non-nil only for handles of a Concurrent() registry
+	v  float64
+	mu *sync.Mutex // non-nil only for handles of a Concurrent() registry
 }
 
 // Set assigns the gauge's value. No-op on a nil receiver.
@@ -91,7 +87,7 @@ func (g *Gauge) Set(v float64) {
 		g.mu.Lock()
 		defer g.mu.Unlock()
 	}
-	g.v, g.set = v, true
+	g.v = v
 }
 
 // Add adjusts the gauge by d. No-op on a nil receiver.
@@ -103,7 +99,7 @@ func (g *Gauge) Add(d float64) {
 		g.mu.Lock()
 		defer g.mu.Unlock()
 	}
-	g.v, g.set = g.v+d, true
+	g.v += d
 }
 
 // Value returns the gauge's current value (0 on a nil receiver).
@@ -177,10 +173,9 @@ func (h *Histogram) snapshotLocked() HistogramSnapshot {
 // Registry holds named metrics. A nil *Registry is the disabled fast
 // path: Counter/Gauge/Histogram return nil handles whose methods no-op.
 type Registry struct {
-	metrics map[string]any    // *Counter | *Gauge | *Histogram
-	order   []string          // registration order (stable export basis)
-	help    map[string]string // family -> HELP text (Prometheus export)
-	sync    *sync.Mutex       // non-nil after Concurrent(): serializes every access
+	metrics map[string]any // *Counter | *Gauge | *Histogram
+	order   []string       // registration order (stable export basis)
+	sync    *sync.Mutex    // non-nil after Concurrent(): serializes every access
 }
 
 // NewRegistry returns an empty registry.
@@ -325,21 +320,6 @@ func (r *Registry) register(name string, m any) {
 	r.order = append(r.order, name)
 }
 
-// SetHelp records a HELP string for a metric family, emitted by the
-// Prometheus exporter (escaped per the text exposition format). No-op on
-// a nil registry.
-func (r *Registry) SetHelp(family, help string) {
-	if r == nil {
-		return
-	}
-	r.lock()
-	defer r.unlock()
-	if r.help == nil {
-		r.help = make(map[string]string)
-	}
-	r.help[family] = help
-}
-
 // Names returns the registered metric names in sorted order.
 func (r *Registry) Names() []string {
 	if r == nil {
@@ -354,68 +334,6 @@ func (r *Registry) namesLocked() []string {
 	names := append([]string(nil), r.order...)
 	sort.Strings(names)
 	return names
-}
-
-// NewShard returns an empty registry intended for single-owner recording
-// by one worker; Merge folds shards back into the parent. (Shards share
-// no state with the parent — the schema materializes on demand — and are
-// always unsynchronized, whatever mode the parent is in.)
-func (r *Registry) NewShard() *Registry {
-	if r == nil {
-		return nil
-	}
-	return NewRegistry()
-}
-
-// Merge folds the shards' metrics into r, visiting shards in argument
-// order and each shard's metrics in its registration order — so merging
-// is deterministic whenever the shard order is. Counters and histogram
-// buckets sum; gauges take the last Set value in merge order. Metrics
-// absent from r are registered. Merging a histogram into an existing one
-// with different bounds is an error. Nil shards are skipped; merging into
-// a nil registry is a no-op. The shards themselves must be quiescent.
-func (r *Registry) Merge(shards ...*Registry) error {
-	if r == nil {
-		return nil
-	}
-	r.lock()
-	defer r.unlock()
-	for _, s := range shards {
-		if s == nil {
-			continue
-		}
-		for _, name := range s.order {
-			switch m := s.metrics[name].(type) {
-			case *Counter:
-				r.counterLocked(name).v += m.v
-			case *Gauge:
-				if m.set {
-					g := r.gaugeLocked(name)
-					g.v, g.set = m.v, true
-				}
-			case *Histogram:
-				if ex, ok := r.metrics[name]; ok {
-					h, ok := ex.(*Histogram)
-					if !ok {
-						return fmt.Errorf("obs: merge: metric %q is %T in destination", name, ex)
-					}
-					if !equalBounds(h.bounds, m.bounds) {
-						return fmt.Errorf("obs: merge: histogram %q bounds differ", name)
-					}
-					for i, c := range m.counts {
-						h.counts[i] += c
-					}
-					h.count += m.count
-					h.sum += m.sum
-					continue
-				}
-				h := r.histogramLocked(name, m.bounds)
-				copy(h.counts, m.counts)
-				h.count, h.sum = m.count, m.sum
-			}
-		}
-	}
-	return nil
 }
 
 // HistogramSnapshot is the exported state of one histogram. Counts has
@@ -538,27 +456,6 @@ func escapeLabelValue(v string) string {
 			b.WriteString(`\\`)
 		case '"':
 			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
-}
-
-// escapeHelp escapes a HELP string for the text exposition format:
-// backslash and line feed (quotes stay literal there).
-func escapeHelp(v string) string {
-	if !strings.ContainsAny(v, "\\\n") {
-		return v
-	}
-	var b strings.Builder
-	b.Grow(len(v) + 2)
-	for _, r := range v {
-		switch r {
-		case '\\':
-			b.WriteString(`\\`)
 		case '\n':
 			b.WriteString(`\n`)
 		default:

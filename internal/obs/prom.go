@@ -3,17 +3,15 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 )
 
 // WritePrometheus renders every metric in r in Prometheus text exposition
 // format (version 0.0.4). Metrics are emitted in sorted-name order, with
-// one `# HELP` (when set via SetHelp) and `# TYPE` line per family;
-// histograms expand into cumulative `_bucket{le=...}` series plus `_sum`
-// and `_count`. A nil registry writes nothing. On a Concurrent()
-// registry the whole export is one critical section, consistent with
-// concurrent writers.
+// one `# TYPE` line per family; histograms expand into cumulative
+// `_bucket{le=...}` series plus `_sum` and `_count`. A nil registry
+// writes nothing. On a Concurrent() registry the whole export is one
+// critical section, consistent with concurrent writers.
 func WritePrometheus(w io.Writer, r *Registry) error {
 	if r == nil {
 		return nil
@@ -25,21 +23,21 @@ func WritePrometheus(w io.Writer, r *Registry) error {
 		family, labels := splitName(name)
 		switch m := r.metrics[name].(type) {
 		case *Counter:
-			if err := writeHeader(w, r, typed, family, "counter"); err != nil {
+			if err := writeHeader(w, typed, family, "counter"); err != nil {
 				return err
 			}
 			if _, err := fmt.Fprintf(w, "%s %d\n", promName(family, labels), m.v); err != nil {
 				return err
 			}
 		case *Gauge:
-			if err := writeHeader(w, r, typed, family, "gauge"); err != nil {
+			if err := writeHeader(w, typed, family, "gauge"); err != nil {
 				return err
 			}
 			if _, err := fmt.Fprintf(w, "%s %s\n", promName(family, labels), formatFloat(m.v)); err != nil {
 				return err
 			}
 		case *Histogram:
-			if err := writeHeader(w, r, typed, family, "histogram"); err != nil {
+			if err := writeHeader(w, typed, family, "histogram"); err != nil {
 				return err
 			}
 			var cum uint64
@@ -64,10 +62,9 @@ func WritePrometheus(w io.Writer, r *Registry) error {
 	return nil
 }
 
-// writeHeader emits the `# HELP` (if any) and `# TYPE` lines the first
-// time a family appears and checks that one family isn't reused across
-// metric kinds.
-func writeHeader(w io.Writer, r *Registry, typed map[string]string, family, kind string) error {
+// writeHeader emits the `# TYPE` line the first time a family appears and
+// checks that one family isn't reused across metric kinds.
+func writeHeader(w io.Writer, typed map[string]string, family, kind string) error {
 	if prev, ok := typed[family]; ok {
 		if prev != kind {
 			return fmt.Errorf("obs: family %q exported as both %s and %s", family, prev, kind)
@@ -75,11 +72,6 @@ func writeHeader(w io.Writer, r *Registry, typed map[string]string, family, kind
 		return nil
 	}
 	typed[family] = kind
-	if help, ok := r.help[family]; ok {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", family, escapeHelp(help)); err != nil {
-			return err
-		}
-	}
 	_, err := fmt.Fprintf(w, "# TYPE %s %s\n", family, kind)
 	return err
 }
@@ -104,25 +96,4 @@ func addLabel(labels, l string) string {
 // requires.
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// Families returns the distinct metric family names in sorted order
-// (mostly useful for tests asserting exporter coverage).
-func (r *Registry) Families() []string {
-	if r == nil {
-		return nil
-	}
-	r.lock()
-	defer r.unlock()
-	set := make(map[string]struct{})
-	for _, name := range r.order {
-		f, _ := splitName(name)
-		set[f] = struct{}{}
-	}
-	fams := make([]string, 0, len(set))
-	for f := range set {
-		fams = append(fams, f)
-	}
-	sort.Strings(fams)
-	return fams
 }

@@ -9,7 +9,7 @@ import (
 
 // TestWritePrometheusTable is the exporter-hardening table: empty
 // registries, NaN/±Inf gauges, +Inf histogram buckets, escaped label
-// values, and HELP strings per the text exposition format.
+// values, and one TYPE header (no HELP line) per family.
 func TestWritePrometheusTable(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -60,26 +60,15 @@ func TestWritePrometheusTable(t *testing.T) {
 			wantNot: []string{"\n\"} 1"}, // raw newline must not survive
 		},
 		{
-			name: "help strings escaped",
+			name: "type headers without help",
 			build: func() *Registry {
 				r := NewRegistry()
 				r.Counter("runs").Inc()
-				r.SetHelp("runs", "total runs\nwith \\ backslash")
+				r.Gauge("load").Set(2)
 				return r
 			},
-			want: []string{`# HELP runs total runs\nwith \\ backslash` + "\n", "# TYPE runs counter"},
-		},
-		{
-			name: "help only for set families",
-			build: func() *Registry {
-				r := NewRegistry()
-				r.Counter("a").Inc()
-				r.Counter("b").Inc()
-				r.SetHelp("a", "alpha")
-				return r
-			},
-			want:    []string{"# HELP a alpha\n"},
-			wantNot: []string{"# HELP b"},
+			want:    []string{"# TYPE runs counter\nruns 1\n", "# TYPE load gauge\nload 2\n"},
+			wantNot: []string{"# HELP"},
 		},
 	}
 	for _, tc := range cases {
@@ -104,9 +93,4 @@ func TestWritePrometheusTable(t *testing.T) {
 			}
 		})
 	}
-}
-
-func TestSetHelpNilSafe(t *testing.T) {
-	var r *Registry
-	r.SetHelp("x", "help") // must not panic
 }

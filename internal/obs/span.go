@@ -86,15 +86,3 @@ func (s *Span) writeTree(w io.Writer, depth, maxDepth int) error {
 	}
 	return nil
 }
-
-// CountSpans returns the number of spans in the tree rooted at s.
-func (s *Span) CountSpans() int {
-	if s == nil {
-		return 0
-	}
-	n := 1
-	for _, c := range s.Children {
-		n += c.CountSpans()
-	}
-	return n
-}

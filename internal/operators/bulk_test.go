@@ -67,16 +67,16 @@ func TestBulkMatchesReferenceTiming(t *testing.T) {
 					name += "/skew"
 				}
 				t.Run(name, func(t *testing.T) {
-					bulkCfg := v.cfg
-					bulkCfg.SkewAware = skew
-					refCfg := bulkCfg
+					refCfg := v.cfg
 					refCfg.NoBulk = true
+					opCfg := v.opCfg
+					opCfg.SkewAware = skew
 
-					ns0, count0, out0, err := op.run(newEngine(t, bulkCfg), v.opCfg)
+					ns0, count0, out0, err := op.run(newEngine(t, v.cfg), opCfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					ns1, count1, out1, err := op.run(newEngine(t, refCfg), v.opCfg)
+					ns1, count1, out1, err := op.run(newEngine(t, refCfg), opCfg)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -34,23 +34,13 @@ type Config struct {
 	// this many tuples (still a valid co-partition of the key space),
 	// reproducing the paper's probe working-set regime. 0 = 32 Ki.
 	CPUProbeTuples int
-	// SkewAware enables skew-aware execution (see DESIGN.md §13): the
-	// partition phase runs the heavy-hitter detector and provisions
-	// destination buffers from the exact exchanged histograms instead of
-	// failing over to the §5.4 overflow-retry loop, and the probe phases
-	// split hot keys across host workers with a merge-side combine. All
+	// SkewAware selects exact provisioning (see DESIGN.md §13): the
+	// partition phase sizes destination buffers from the exact exchanged
+	// histograms instead of raising ErrPartitionOverflow for the §5.4
+	// overflow-retry loop, and reports the destination-load spread. All
 	// simulated quantities stay byte-identical to a skew-unaware run that
 	// succeeds at the same Overprovision.
 	SkewAware bool
-	// SkewLoadFactor is the heavy-hitter flagging threshold as a fraction
-	// of the mean destination load (0 = 0.5): a key is hot when its
-	// estimated frequency reaches SkewLoadFactor × mean vault load.
-	SkewLoadFactor float64
-	// SkewSketchSize is the SpaceSaving sketch capacity (0 = 256 keys).
-	SkewSketchSize int
-	// SkewSampleStride samples every Nth tuple into the sketch on the
-	// bulk path (0 = 8).
-	SkewSampleStride int
 }
 
 // overprovision returns the destination-buffer slack factor.
@@ -173,40 +163,6 @@ func unitForGroup(e *engine.Engine, groups [][]int, g int) *engine.Unit {
 	return e.UnitForVault(groups[g][0])
 }
 
-// stealWeights returns per-index task weights (summed tuple counts of the
-// region sets) for the skew-aware worker pool, or nil when the engine is
-// not skew-aware — the default path pays no allocation.
-func stealWeights(e *engine.Engine, sets ...[]*engine.Region) []float64 {
-	if !e.Config().SkewAware || len(sets) == 0 {
-		return nil
-	}
-	w := make([]float64, len(sets[0]))
-	for _, rs := range sets {
-		for i, r := range rs {
-			w[i] += float64(r.Len())
-		}
-	}
-	return w
-}
-
-// stealGroupWeights returns per-probe-group task weights (summed tuple
-// counts of each group's buckets over the region sets), or nil when the
-// engine is not skew-aware.
-func stealGroupWeights(e *engine.Engine, groups [][]int, sets ...[]*engine.Region) []float64 {
-	if !e.Config().SkewAware {
-		return nil
-	}
-	w := make([]float64, len(groups))
-	for g, group := range groups {
-		for _, b := range group {
-			for _, rs := range sets {
-				w[g] += float64(rs[b].Len())
-			}
-		}
-	}
-	return w
-}
-
 // totalLen sums region lengths.
 func totalLen(rs []*engine.Region) int {
 	n := 0
@@ -250,7 +206,7 @@ func sortBuckets(e *engine.Engine, cm CostModel, buckets []*engine.Region) ([]*e
 		runProfile.DepIPC = 2
 	}
 	e.BeginStep(probeProfile(e, runProfile))
-	if err := e.ForEachTaskWeighted(n, stealWeights(e, buckets), func(i int) error {
+	if err := e.ForEachTask(n, func(i int) error {
 		return formRuns(unitForBucket(e, i), cm, buckets[i], simd)
 	}); err != nil {
 		return nil, err
@@ -269,19 +225,8 @@ func sortBuckets(e *engine.Engine, cm CostModel, buckets []*engine.Region) ([]*e
 		}
 	}
 	for pass := 0; pass < maxPasses; pass++ {
-		// Buckets already sorted in this pass carry no work; weight the
-		// dispatch by what each task will actually merge.
-		var passWeights []float64
-		if e.Config().SkewAware {
-			passWeights = make([]float64, n)
-			for i := range passWeights {
-				if runLen[i] < maxInt(src[i].Len(), 1) {
-					passWeights[i] = float64(src[i].Len())
-				}
-			}
-		}
 		e.BeginStep(mergeProfile(e, cm))
-		if err := e.ForEachTaskWeighted(n, passWeights, func(i int) error {
+		if err := e.ForEachTask(n, func(i int) error {
 			if runLen[i] >= maxInt(src[i].Len(), 1) {
 				return nil // this bucket is already sorted
 			}

@@ -132,7 +132,7 @@ func groupByHashProbe(e *engine.Engine, cfg Config, buckets []*engine.Region, re
 
 	nGroups := make([]int, len(groups))
 	e.BeginStep(cm.HashProfile)
-	if err := e.ForEachTaskWeighted(len(groups), stealGroupWeights(e, groups, buckets), func(g int) error {
+	if err := e.ForEachTask(len(groups), func(g int) error {
 		u := unitForGroup(e, groups, g)
 		for _, b := range groups[g] {
 			bucket := buckets[b]
@@ -193,10 +193,8 @@ func groupBySortProbe(e *engine.Engine, cm CostModel, buckets []*engine.Region, 
 		prof.DepIPC = 2
 	}
 	nGroups := make([]int, len(sorted))
-	splits := make([]int, len(sorted))
-	skewAware := e.Config().SkewAware
 	e.BeginStep(probeProfile(e, prof))
-	if err := e.ForEachTaskWeighted(len(sorted), stealWeights(e, sorted), func(b int) error {
+	if err := e.ForEachTask(len(sorted), func(b int) error {
 		u := unitForBucket(e, b)
 		readers, err := u.OpenStreams(sorted[b])
 		if err != nil {
@@ -232,26 +230,17 @@ func groupBySortProbe(e *engine.Engine, cm CostModel, buckets []*engine.Region, 
 					u.ChargeRun(insts, k)
 					c = want
 				}
-				var agg Aggregates
-				if skewAware && ge-gs >= splitGroupMinTuples {
-					// Hot group: shard the aggregation across host workers
-					// and combine the exact partials. The simulated reads
-					// and charges already happened above, untouched.
-					agg = shardedAggregate(ts[gs:ge])
-					splits[b]++
-				} else {
-					agg = Aggregates{Min: ^uint64(0)}
-					for i := gs; i < ge; i++ {
-						v := uint64(ts[i].Val)
-						agg.Count++
-						agg.Sum += v
-						agg.SumSq += v * v
-						if v < agg.Min {
-							agg.Min = v
-						}
-						if v > agg.Max {
-							agg.Max = v
-						}
+				agg := Aggregates{Min: ^uint64(0)}
+				for i := gs; i < ge; i++ {
+					v := uint64(ts[i].Val)
+					agg.Count++
+					agg.Sum += v
+					agg.SumSq += v * v
+					if v < agg.Min {
+						agg.Min = v
+					}
+					if v > agg.Max {
+						agg.Max = v
 					}
 				}
 				emitGroupRun(u, outs[b], ts[gs].Key, &agg)
@@ -299,13 +288,6 @@ func groupBySortProbe(e *engine.Engine, cm CostModel, buckets []*engine.Region, 
 	e.EndStep()
 	for _, n := range nGroups {
 		res.Groups += n
-	}
-	if skewAware {
-		total := 0
-		for _, s := range splits {
-			total += s
-		}
-		e.RecordSplitKeys(total)
 	}
 	return nil
 }

@@ -114,7 +114,7 @@ func joinHashProbe(e *engine.Engine, cfg Config, rBuckets, sBuckets []*engine.Re
 	res.Out = outs
 
 	e.BeginStep(cm.HashProfile)
-	if err := e.ForEachTaskWeighted(len(groups), stealGroupWeights(e, groups, rBuckets), func(g int) error {
+	if err := e.ForEachTask(len(groups), func(g int) error {
 		u := unitForGroup(e, groups, g)
 		for _, b := range groups[g] {
 			rb := rBuckets[b]
@@ -134,7 +134,7 @@ func joinHashProbe(e *engine.Engine, cfg Config, rBuckets, sBuckets []*engine.Re
 
 	matches := make([]int, len(groups))
 	e.BeginStep(cm.HashProfile)
-	if err := e.ForEachTaskWeighted(len(groups), stealGroupWeights(e, groups, sBuckets), func(g int) error {
+	if err := e.ForEachTask(len(groups), func(g int) error {
 		u := unitForGroup(e, groups, g)
 		for _, b := range groups[g] {
 			sb := sBuckets[b]
@@ -188,10 +188,8 @@ func joinSortMergeProbe(e *engine.Engine, cm CostModel, rBuckets, sBuckets []*en
 		prof.DepIPC = 2
 	}
 	matches := make([]int, len(rSorted))
-	splits := make([]int, len(rSorted))
-	skewAware := e.Config().SkewAware
 	e.BeginStep(probeProfile(e, prof))
-	if err := e.ForEachTaskWeighted(len(rSorted), stealWeights(e, rSorted, sSorted), func(b int) error {
+	if err := e.ForEachTask(len(rSorted), func(b int) error {
 		u := unitForBucket(e, b)
 		readers, err := u.OpenStreams(rSorted[b], sSorted[b])
 		if err != nil {
@@ -212,7 +210,6 @@ func joinSortMergeProbe(e *engine.Engine, cm CostModel, rBuckets, sBuckets []*en
 				rr.NextRun(1)
 				u.Charge(insts)
 			}
-			var pending []tuple.Tuple
 			for si := 0; si < len(sTs); si++ {
 				if !rok {
 					// R exhausted: the rest of S is a pure read run.
@@ -250,55 +247,6 @@ func joinSortMergeProbe(e *engine.Engine, cm CostModel, rBuckets, sBuckets []*en
 					u.AppendLocal(outs[b], combine(rTs[cur], st))
 					matches[b]++
 				}
-				if !skewAware {
-					continue
-				}
-				// Skew-aware hot-run batching: the rest of an equal-key S
-				// run needs no R advance, so it can retire as run-granular
-				// operations. The charged access sequence is identical to
-				// the per-tuple loop: NextRun/ChargeRun equal their
-				// per-tuple expansions, and matched appends use the
-				// mergePass flush-before-refill pattern, which reproduces
-				// the exact [refill][≤granule writes] DRAM order.
-				se := si + 1
-				for se < len(sTs) && sTs[se].Key == st.Key {
-					se++
-				}
-				if k := se - (si + 1); k >= splitRunMinTuples {
-					switch {
-					case rTs[cur].Key != st.Key:
-						// Unmatched hot run: a pure read run.
-						sr.NextRun(k)
-						u.ChargeRun(insts, k)
-						splits[b]++
-						si = se - 1
-					case sr.Streamed():
-						// Matched hot run: every tuple joins the same R
-						// tuple. Batching appends needs DRAM-free pops,
-						// which only stream-buffer units provide.
-						rt := rTs[cur]
-						pending = pending[:0]
-						flush := func() {
-							if len(pending) == 0 {
-								return
-							}
-							u.ChargeRun(insts, len(pending))
-							u.AppendRunLocal(outs[b], pending)
-							matches[b] += len(pending)
-							pending = pending[:0]
-						}
-						for i := si + 1; i < se; i++ {
-							if sr.NextFills() {
-								flush()
-							}
-							sr.Next()
-							pending = append(pending, combine(rt, sTs[i]))
-						}
-						flush()
-						splits[b]++
-						si = se - 1
-					}
-				}
 			}
 			return nil
 		}
@@ -328,13 +276,6 @@ func joinSortMergeProbe(e *engine.Engine, cm CostModel, rBuckets, sBuckets []*en
 	e.EndStep()
 	for _, m := range matches {
 		res.Matches += m
-	}
-	if skewAware {
-		total := 0
-		for _, s := range splits {
-			total += s
-		}
-		e.RecordSplitKeys(total)
 	}
 	return nil
 }

@@ -284,6 +284,88 @@ func TestPermutabilityReducesDistributionActivations(t *testing.T) {
 	}
 }
 
+// TestSkewAwareExactProvisioning pins the skew-aware partition phase on
+// both partition implementations (the NMP histogram exchange, with
+// conventional and permutable distribution, and the CPU's
+// count-then-carve): the report's loads equal a histogram computed here,
+// uniform keys keep the uniform overprovisioned estimate, and Zipf 2.0
+// keys and a single constant key, which overflow that estimate, get
+// exactly the largest load plus the slack.
+func TestSkewAwareExactProvisioning(t *testing.T) {
+	const tuples = 8000
+	zipf, err := workload.Zipf("in", workload.Config{Seed: 29, Tuples: tuples, KeySpace: 1 << 16}, 2.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	constant := &tuple.Relation{Name: "in", Tuples: make([]tuple.Tuple, tuples)}
+	for i := range constant.Tuples {
+		constant.Tuples[i] = tuple.Tuple{Key: 7, Val: tuple.Value(i)}
+	}
+	inputs := []struct {
+		name    string
+		rel     *tuple.Relation
+		resized bool
+	}{
+		{"uniform", workload.Uniform("in", workload.Config{Seed: 29, Tuples: tuples, KeySpace: 1 << 16}), false},
+		{"zipf2.0", zipf, true},
+		{"constant", constant, true},
+	}
+	vs := testVariants()
+	for _, v := range []variant{vs[0], vs[1], vs[5]} { // CPU, NMP-rand, Mondrian
+		for _, in := range inputs {
+			t.Run(v.name+"/"+in.name, func(t *testing.T) {
+				e := newEngine(t, v.cfg)
+				cfg := v.opCfg
+				cfg.SkewAware = true
+				part := Partitioner{Buckets: e.NumVaults()}
+				if v.cfg.Arch == engine.CPU {
+					part.Buckets = 64
+				}
+				res, err := PartitionPhase(e, cfg, place(t, e, in.rel), part)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Skew == nil {
+					t.Fatal("skew-aware partition phase returned no SkewReport")
+				}
+
+				loads := make([]int, part.Buckets)
+				for _, tp := range in.rel.Tuples {
+					loads[part.Bucket(tp.Key)]++
+				}
+				maxLoad := 0
+				for b, n := range loads {
+					if n > maxLoad {
+						maxLoad = n
+					}
+					if got := res.Buckets[b].Len(); got != n {
+						t.Errorf("bucket %d holds %d tuples, histogram says %d", b, got, n)
+					}
+				}
+				uniform := int(float64(tuples/part.Buckets)*cfg.overprovision()) + bucketSlack
+				rep := res.Skew
+				if rep.MaxLoad != maxLoad {
+					t.Errorf("MaxLoad = %d, want %d", rep.MaxLoad, maxLoad)
+				}
+				if want := float64(tuples) / float64(part.Buckets); rep.MeanLoad != want {
+					t.Errorf("MeanLoad = %v, want %v", rep.MeanLoad, want)
+				}
+				if rep.Resized != in.resized {
+					t.Errorf("Resized = %v, want %v", rep.Resized, in.resized)
+				}
+				want := uniform
+				if in.resized {
+					want = maxLoad + bucketSlack
+				}
+				if rep.Provisioned != want {
+					t.Errorf("Provisioned = %d, want %d (uniform estimate %d, max load %d)",
+						rep.Provisioned, want, uniform, maxLoad)
+				}
+			})
+		}
+	}
+}
+
 func TestHashTableCollisionsAndLookups(t *testing.T) {
 	v := testVariants()[1] // NMP
 	e := newEngine(t, v.cfg)

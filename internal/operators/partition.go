@@ -41,9 +41,43 @@ type PartitionResult struct {
 	DistributeNs float64
 	// Steps are the engine step timings of the phase.
 	Steps []engine.StepTiming
-	// Skew carries the heavy-hitter detector's observations on skew-aware
-	// runs; nil otherwise. Host-side only — never feeds simulated state.
+	// Skew carries the exact-provisioning report on skew-aware runs; nil
+	// otherwise. Host-side only — never feeds simulated state.
 	Skew *SkewReport
+}
+
+// SkewReport summarizes a skew-aware partition phase's destination loads
+// and the buffer capacity provisioned for them. Every field comes from the
+// exact exchanged histograms, so the report is identical at every host
+// parallelism.
+type SkewReport struct {
+	// MaxLoad and MeanLoad are the exact per-destination tuple loads from
+	// the histogram exchange (max and arithmetic mean).
+	MaxLoad  int
+	MeanLoad float64
+	// Provisioned is the final per-destination buffer capacity in tuples;
+	// Resized reports whether skew-aware provisioning raised it above the
+	// uniform overprovisioned estimate (i.e. the run would have overflowed
+	// and retried without skew awareness).
+	Provisioned int
+	Resized     bool
+}
+
+// buildSkewReport fills a SkewReport's load fields from exact destination
+// loads.
+func buildSkewReport(loads []int64) *SkewReport {
+	rep := &SkewReport{}
+	var total int64
+	for _, l := range loads {
+		if int(l) > rep.MaxLoad {
+			rep.MaxLoad = int(l)
+		}
+		total += l
+	}
+	if len(loads) > 0 {
+		rep.MeanLoad = float64(total) / float64(len(loads))
+	}
+	return rep
 }
 
 // Ns returns the phase's total runtime.
@@ -133,20 +167,9 @@ func nmpPartition(e *engine.Engine, cfg Config, inputs []*engine.Region, part Pa
 
 	// Step 1: histogram build, every unit streaming its local partition.
 	// Per-vault histograms are 64 counters (512 B) and live on chip.
-	// Skew-aware runs additionally feed a sampled SpaceSaving sketch per
-	// source — host-side bookkeeping with no charges, each sketch owned
-	// exclusively by its source unit.
 	perSource := make([][]int64, nv)
-	var sketches []*SpaceSaving
-	stride := cfg.skewSampleStride()
-	if cfg.SkewAware {
-		sketches = make([]*SpaceSaving, nv)
-		for v := range sketches {
-			sketches[v] = NewSpaceSaving(cfg.skewSketchSize())
-		}
-	}
 	e.BeginStep(probeProfile(e, cm.HistogramProfile))
-	if err := e.ForEachVaultWeighted(stealWeights(e, inputs), func(v int, u *engine.Unit) error {
+	if err := e.ForEachVault(func(v int, u *engine.Unit) error {
 		perSource[v] = make([]int64, nv)
 		readers, err := u.OpenStreams(inputs[v])
 		if err != nil {
@@ -160,25 +183,15 @@ func nmpPartition(e *engine.Engine, cfg Config, inputs []*engine.Region, part Pa
 			for i := range ts {
 				perSource[v][part.Bucket(ts[i].Key)]++
 			}
-			if sketches != nil {
-				for i := 0; i < len(ts); i += stride {
-					sketches[v].Offer(uint64(ts[i].Key))
-				}
-			}
 			u.ChargeRun(histInsts, len(ts))
 			return nil
 		}
-		i := 0
 		for {
 			t, ok := readers[0].Next()
 			if !ok {
 				break
 			}
 			perSource[v][part.Bucket(t.Key)]++
-			if sketches != nil && i%stride == 0 {
-				sketches[v].Offer(uint64(t.Key))
-			}
-			i++
 			u.Charge(histInsts)
 		}
 		return nil
@@ -203,25 +216,13 @@ func nmpPartition(e *engine.Engine, cfg Config, inputs []*engine.Region, part Pa
 				inbound[dst] += n
 			}
 		}
-		maxIn := 0
-		for _, n := range inbound {
-			if int(n) > maxIn {
-				maxIn = int(n)
-			}
+		res.Skew = buildSkewReport(inbound)
+		if res.Skew.MaxLoad > capPer {
+			capPer = res.Skew.MaxLoad + bucketSlack
+			res.Skew.Resized = true
 		}
-		resized := false
-		if maxIn > capPer {
-			capPer = maxIn + bucketSlack
-			resized = true
-		}
-		sketch := sketches[0]
-		for _, sk := range sketches[1:] {
-			sketch.Merge(sk)
-		}
-		res.Skew = buildSkewReport(cfg, inbound, sketch, stride)
 		res.Skew.Provisioned = capPer
-		res.Skew.Resized = resized
-		e.RecordSkew(float64(res.Skew.MaxLoad), res.Skew.MeanLoad, len(res.Skew.HotKeys))
+		e.RecordSkew(float64(res.Skew.MaxLoad), res.Skew.MeanLoad)
 	}
 	dests, err := e.MallocPermutable(capPer)
 	if err != nil {
@@ -245,7 +246,7 @@ func nmpPartition(e *engine.Engine, cfg Config, inputs []*engine.Region, part Pa
 
 	e.BeginStep(probeProfile(e, profile))
 	x := e.NewExchange(dests, perSource)
-	if err := e.ForEachVaultWeighted(stealWeights(e, inputs), func(v int, u *engine.Unit) error {
+	if err := e.ForEachVault(func(v int, u *engine.Unit) error {
 		rs, err := u.OpenStreams(inputs[v])
 		if err != nil {
 			return err
@@ -335,29 +336,16 @@ func cpuPartition(e *engine.Engine, cfg Config, inputs []*engine.Region, part Pa
 	t0 := e.TotalNs()
 	hist := make([][]int64, nCores)
 	histBacking := make([]int64, nCores*part.Buckets)
-	var sketches []*SpaceSaving
-	stride := cfg.skewSampleStride()
-	if cfg.SkewAware {
-		sketches = make([]*SpaceSaving, nCores)
-		for c := range sketches {
-			sketches[c] = NewSpaceSaving(cfg.skewSketchSize())
-		}
-	}
 	histProf := cm.HistogramProfile
 	histProf.MLPOverride = cm.CPUPartitionMLP
 	e.BeginStep(histProf)
 	for c, u := range units {
 		hist[c] = histBacking[c*part.Buckets : (c+1)*part.Buckets]
-		n := 0
 		for _, in := range coreInputs[c] {
 			for i := 0; i < in.Len(); i++ {
 				t := u.LoadTuple(in, i)
 				b := part.Bucket(t.Key)
 				hist[c][b]++
-				if sketches != nil && n%stride == 0 {
-					sketches[c].Offer(uint64(t.Key))
-				}
-				n++
 				u.Charge(cm.HistogramInsts)
 				histTraffic(u, cm, histAddrs[c], part.Buckets, b)
 			}
@@ -386,19 +374,15 @@ func cpuPartition(e *engine.Engine, cfg Config, inputs []*engine.Region, part Pa
 	// The counts size each bucket's host-side tuple storage, carved from
 	// one slab so the distribute loop's ensureLen never reallocates (host
 	// memory only — simulated region capacity is untouched). Skew-aware
-	// runs size the sketch-side report from the same exact counts and
+	// runs report the load spread from the same exact counts and
 	// reallocate just the overflowing buckets at their exact size instead
 	// of surfacing the §5.4 retry error; non-overflowing runs perform no
 	// extra allocation, keeping the allocation sequence byte-identical to
 	// skew-unaware.
 	if cfg.SkewAware {
-		sketch := sketches[0]
-		for _, sk := range sketches[1:] {
-			sketch.Merge(sk)
-		}
-		res.Skew = buildSkewReport(cfg, counts, sketch, stride)
+		res.Skew = buildSkewReport(counts)
 		res.Skew.Provisioned = capPer
-		e.RecordSkew(float64(res.Skew.MaxLoad), res.Skew.MeanLoad, len(res.Skew.HotKeys))
+		e.RecordSkew(float64(res.Skew.MaxLoad), res.Skew.MeanLoad)
 	}
 	slab := make([]tuple.Tuple, total)
 	off := 0

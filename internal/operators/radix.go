@@ -123,7 +123,7 @@ func RadixSortBuckets(e *engine.Engine, cm CostModel, buckets []*engine.Region, 
 		scratches[i] = s
 	}
 	e.BeginStep(probeProfile(e, engine.StepProfile{Name: "radix-sort", DepIPC: 1.2, InstPerAccess: 3}))
-	if err := e.ForEachTaskWeighted(len(buckets), stealWeights(e, buckets), func(i int) error {
+	if err := e.ForEachTask(len(buckets), func(i int) error {
 		sorted, err := radixSortLocal(unitForBucket(e, i), cm, buckets[i], scratches[i], keySpace, simd)
 		if err != nil {
 			return err

@@ -90,7 +90,7 @@ func Scan(e *engine.Engine, cfg Config, inputs []*engine.Region, needle tuple.Ke
 		}
 	} else {
 		matches := make([]int, len(inputs))
-		if err := e.ForEachVaultWeighted(stealWeights(e, inputs), func(v int, u *engine.Unit) error {
+		if err := e.ForEachVault(func(v int, u *engine.Unit) error {
 			readers, err := u.OpenStreams(inputs[v])
 			if err != nil {
 				return err

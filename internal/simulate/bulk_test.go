@@ -15,8 +15,8 @@ import (
 // implementation executes. The bulk path may only change wall-clock
 // time, never a simulated number. Besides the golden input, every pair
 // also runs skew-aware at Zipf exponents 0 (uniform), 1.5 and 2.0, so
-// the hot-key splitting and hot-run batching loops meet their per-tuple
-// references.
+// the bulk loops meet their per-tuple references on skewed inputs and
+// exactly provisioned buffers.
 func TestBulkDifferential(t *testing.T) {
 	type input struct {
 		name string

@@ -40,7 +40,7 @@ func buildManifest(s System, operator string, verified bool, totalNs float64,
 		Verified:         verified,
 		SimulatedTotalNs: totalNs,
 		Metrics:          p.Obs.Snapshot(),
-		Host:             obs.NewHostInfo(p.Parallelism),
+		Host:             obs.NewHostInfo(p.Parallelism, p.NoBulk, p.NoPool),
 	}
 	m.Windows = obs.SummarizeHistograms(m.Metrics)
 	for _, ph := range phases {

@@ -137,6 +137,51 @@ func TestManifestContent(t *testing.T) {
 	}
 }
 
+// TestManifestHostRecordsExecution pins the manifest's host section to
+// how the run executed: the default Parallelism (0) is recorded as the
+// GOMAXPROCS worker count it resolves to, and parallelism, no_bulk and
+// no_pool are always present, true when set.
+func TestManifestHostRecordsExecution(t *testing.T) {
+	p := TestParams()
+	p.STuples = 1 << 12
+	r, err := Run(Mondrian, OpScan, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := func(p Params) map[string]any {
+		t.Helper()
+		j, err := json.Marshal(BuildManifest(r, p, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m struct {
+			Host map[string]any `json:"host"`
+		}
+		if err := json.Unmarshal(j, &m); err != nil {
+			t.Fatal(err)
+		}
+		return m.Host
+	}
+
+	t.Run("default", func(t *testing.T) {
+		h := host(p)
+		if got, want := h["parallelism"], float64(runtime.GOMAXPROCS(0)); got != want {
+			t.Errorf("host parallelism = %v, want GOMAXPROCS %v", got, want)
+		}
+		if h["no_bulk"] != false || h["no_pool"] != false {
+			t.Errorf("host no_bulk = %v, no_pool = %v, want false, false", h["no_bulk"], h["no_pool"])
+		}
+	})
+	t.Run("set", func(t *testing.T) {
+		q := p
+		q.Parallelism, q.NoBulk, q.NoPool = 3, true, true
+		h := host(q)
+		if h["parallelism"] != float64(3) || h["no_bulk"] != true || h["no_pool"] != true {
+			t.Errorf("host = %v, want parallelism 3, no_bulk and no_pool true", h)
+		}
+	})
+}
+
 // TestManifestJoinPhases checks the Join dedup: two partition phases get
 // distinct names, so per-phase counters do not collide.
 func TestManifestJoinPhases(t *testing.T) {

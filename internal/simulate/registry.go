@@ -45,7 +45,7 @@ type Spec struct {
 	Name string
 	// Engine is the identity template. EngineConfig copies it and fills
 	// the Params-owned fields: Cubes, VaultsPer, Geometry, Timing,
-	// ObjectSize, BarrierNs, SkewAware, Parallelism, NoBulk and Obs —
+	// ObjectSize, BarrierNs, Parallelism, NoBulk and Obs —
 	// plus CPUCores on the CPU architecture.
 	Engine engine.Config
 	// SortProbe selects the sort-based probe algorithms (§6: NMP-seq

@@ -5,14 +5,16 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
+	"github.com/ecocloud-go/mondrian/internal/obs"
 	"github.com/ecocloud-go/mondrian/internal/operators"
 )
 
-// skewParams shapes the skew suite: large enough that the hot-key
-// splitting thresholds trip at the tested exponents (the top Zipf key at
-// s=1.5 already exceeds splitGroupMinTuples), small enough for fast runs.
+// skewParams shapes the skew suite: large enough that the top Zipf keys
+// overflow the default 2× overprovision at s=2.0, small enough for fast
+// runs.
 func skewParams(zipfS float64) Params {
 	p := TestParams()
 	p.STuples = 1 << 14
@@ -50,9 +52,9 @@ func minimalOverprovision(t *testing.T, s System, op Operator, p Params) float64
 // TestSkewAwareEquivalence is the tentpole acceptance test for the
 // skew-aware path: for every (System, Operator) pair, under uniform keys
 // and Zipf exponents 1.1, 1.5 and 2.0, the complete Result and its JSON
-// encoding are byte-identical with SkewAware on or off. The detector,
-// exact provisioning, hot-key splitting and work stealing may only change
-// host wall-clock time and obs metrics — never a simulated number.
+// encoding are byte-identical with SkewAware on or off. Exact
+// provisioning may only add the load gauges to the obs metrics — never
+// change a simulated number.
 //
 // The comparison runs at the minimal overprovision factor that lets the
 // skew-unaware run complete, because on overflowing inputs the unaware
@@ -144,51 +146,73 @@ func TestSkewAwareRescuesOverflow(t *testing.T) {
 	}
 }
 
-// TestSkewAwareObsMetrics checks that a skewed skew-aware run publishes
-// the imbalance metrics through the obs layer — and that a skew-unaware
-// run publishes none of them, keeping the off-mode manifest unchanged.
+// TestSkewAwareObsMetrics pins the exact skew metric set: against the
+// same skewed run without skew awareness (at the smallest overprovision
+// that completes), a skew-aware manifest adds phase_load_max and
+// phase_load_mean for each partition phase (Join runs two) and no other
+// metric name, and the skew-unaware manifest carries no load gauge and
+// no skew_ name.
 func TestSkewAwareObsMetrics(t *testing.T) {
-	p := skewParams(2.0)
-	p.SkewAware = true
-	m := runWithObs(t, Mondrian, OpGroupBy, p)
-	if _, ok := m.Metrics.Counters["skew_split_keys"]; !ok {
-		t.Errorf("skew_split_keys counter missing from skew-aware manifest")
-	}
-	if _, ok := m.Metrics.Counters["skew_tasks_stolen"]; !ok {
-		t.Errorf("skew_tasks_stolen counter missing from skew-aware manifest")
-	}
-	if m.Metrics.Counters["skew_split_keys"] == 0 {
-		t.Errorf("skew_split_keys = 0 on a Zipf s=2.0 Group-by; want hot groups split")
-	}
-	var gotLoad bool
-	for name := range m.Metrics.Gauges {
-		if len(name) >= 14 && name[:14] == "phase_load_max" {
-			gotLoad = true
-		}
-	}
-	if !gotLoad {
-		t.Errorf("phase_load_max gauge missing from skew-aware manifest")
-	}
+	for _, op := range []Operator{OpSort, OpGroupBy, OpJoin} {
+		t.Run(op.String(), func(t *testing.T) {
+			p := skewParams(2.0)
+			p.SkewAware = true
+			on := runWithObs(t, Mondrian, op, p)
+			p.SkewAware = false
+			p.Overprovision = minimalOverprovision(t, Mondrian, op, p)
+			off := runWithObs(t, Mondrian, op, p)
 
-	off := runWithObs(t, Mondrian, OpGroupBy, goldenParams())
-	for name := range off.Metrics.Counters {
-		if len(name) >= 5 && name[:5] == "skew_" {
-			t.Errorf("skew-unaware manifest leaked counter %q", name)
-		}
-	}
-	for name := range off.Metrics.Gauges {
-		if len(name) >= 11 && name[:11] == "phase_load_" {
-			t.Errorf("skew-unaware manifest leaked gauge %q", name)
-		}
+			want := map[string]bool{}
+			for _, ph := range on.Phases {
+				if strings.HasPrefix(ph.Name, "partition") {
+					want[obs.Label("phase_load_max", "phase", ph.Name)] = true
+					want[obs.Label("phase_load_mean", "phase", ph.Name)] = true
+				}
+			}
+			if len(want) == 0 {
+				t.Fatal("manifest lists no partition phase")
+			}
+			onNames, offNames := metricNames(on.Metrics), metricNames(off.Metrics)
+			added := map[string]bool{}
+			for name := range onNames {
+				if !offNames[name] {
+					added[name] = true
+				}
+			}
+			if !reflect.DeepEqual(added, want) {
+				t.Errorf("skew awareness adds metrics %v, want exactly %v", added, want)
+			}
+			for name := range offNames {
+				if !onNames[name] {
+					t.Errorf("skew awareness drops metric %q", name)
+				}
+				if strings.HasPrefix(name, "phase_load_") || strings.HasPrefix(name, "skew_") {
+					t.Errorf("skew-unaware manifest carries skew metric %q", name)
+				}
+			}
+		})
 	}
 }
 
+// metricNames returns the set of every metric name in snap.
+func metricNames(snap obs.Snapshot) map[string]bool {
+	names := map[string]bool{}
+	for name := range snap.Counters {
+		names[name] = true
+	}
+	for name := range snap.Gauges {
+		names[name] = true
+	}
+	for name := range snap.Histograms {
+		names[name] = true
+	}
+	return names
+}
+
 // TestManifestDeterminismSkewAware extends the observability tentpole to
-// the skew-aware path: with stealing, splitting and the detector all
-// active on a skewed workload, the manifest's deterministic projection —
-// including the skew_* metrics — is byte-identical at parallelism 1, 4
-// and 8. The LPT steal order is a pure function of the task weights, so
-// host concurrency must not leak into the stolen-task count either.
+// the skew-aware path: on a skewed workload, the manifest's deterministic
+// projection — including the phase_load_* gauges — is byte-identical at
+// parallelism 1, 4 and 8.
 func TestManifestDeterminismSkewAware(t *testing.T) {
 	for _, s := range []System{Mondrian, NMPSeq, CPU} {
 		for _, op := range Operators() {

@@ -66,13 +66,12 @@ type SimParams struct {
 	BarrierNs float64 `json:"barrier_ns"`
 	// Energy holds the Table 4 constants.
 	Energy energy.Params `json:"energy"`
-	// SkewAware enables the skew-aware execution path: heavy-hitter
-	// detection during the partition phase, exact-histogram destination
-	// provisioning (replacing overflow-and-retry), hot-key splitting in
-	// the Group-by/Join probes, and deterministic work stealing in the
-	// engine's dispatch. On inputs where the default path succeeds,
-	// report JSON is byte-identical with the flag on or off — only host
-	// wall-clock time and the skew_* observability metrics differ.
+	// SkewAware selects exact provisioning: the partition phase sizes its
+	// destination buffers from the exact exchanged histograms instead of
+	// surfacing ErrPartitionOverflow to the §5.4 overflow-retry loop. On
+	// inputs where the default path succeeds, report JSON is
+	// byte-identical with the flag on or off; only the
+	// phase_load_max/phase_load_mean observability gauges are added.
 	SkewAware bool `json:"skew_aware"`
 	// ZipfS selects skewed workloads: 0 (the default) keeps the uniform
 	// generators; a finite exponent > 1 draws the Scan/Sort/Group-by
@@ -171,7 +170,6 @@ func (p Params) EngineConfig(s System) engine.Config {
 	cfg.BarrierNs = p.BarrierNs
 	cfg.Parallelism = p.Parallelism
 	cfg.NoBulk = p.NoBulk
-	cfg.SkewAware = p.SkewAware
 	cfg.Obs = p.Obs
 	if cfg.Arch == engine.CPU {
 		cfg.CPUCores = p.CPUCores

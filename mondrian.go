@@ -154,8 +154,9 @@ type (
 	GroupByResult = operators.GroupByResult
 	// JoinResult reports a Join run.
 	JoinResult = operators.JoinResult
-	// SkewReport summarizes the heavy-hitter detector's observations for
-	// a skew-aware partition phase (PartitionResult.Skew).
+	// SkewReport records a skew-aware partition phase's exact
+	// destination loads and the buffer capacity provisioned for them
+	// (PartitionResult.Skew).
 	SkewReport = operators.SkewReport
 )
 
