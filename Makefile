@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race race-smoke fuzz bench-smoke bench-baseline bench-guard bench-compare serve-smoke examples-smoke staticcheck ci
+.PHONY: build test vet fmt-check race race-smoke fuzz fuzz-smoke bench-smoke bench-baseline bench-guard bench-compare serve-smoke examples-smoke staticcheck ci
 
 build:
 	$(GO) build ./...
@@ -50,6 +50,11 @@ fuzz:
 	$(GO) test -fuzz=FuzzSameMultiset -fuzztime=10s ./internal/tuple/
 	$(GO) test -fuzz=FuzzPartitionRoundTrip -fuzztime=10s ./internal/operators/
 	$(GO) test -fuzz=FuzzRadixRoundTrip -fuzztime=10s ./internal/operators/
+	$(GO) test -run='^$$' -fuzz=FuzzRunNoPanic -fuzztime=30s ./internal/simulate/
+
+# CI's fuzz step: 30 s of live fuzzing over the no-panic boundary of
+# simulate.Run and RunPlan alone.
+fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzRunNoPanic -fuzztime=30s ./internal/simulate/
 
 # One-iteration smoke pass over every benchmark (CI keeps this fast).
@@ -122,7 +127,10 @@ examples-smoke:
 
 # ci mirrors .github/workflows/ci.yml: tier-1 format check, build, vet
 # and test, the race pass and the focused race smoke, the examples
-# smoke, then the perfbench module's vet and tests (its own module, so
-# `go vet ./...` and `go test ./...` skip it).
-ci: fmt-check test vet race race-smoke examples-smoke
+# smoke, the fuzz smoke, the benchmark smoke, the serve smoke and the
+# benchmark guard, then the perfbench module's vet and tests (its own
+# module, so `go vet ./...` and `go test ./...` skip it). It leaves out
+# the workflow's staticcheck step, which needs the network unless a
+# staticcheck binary is installed: run `make staticcheck` for it.
+ci: fmt-check test vet race race-smoke examples-smoke fuzz-smoke bench-smoke serve-smoke bench-guard
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...

@@ -147,11 +147,14 @@ func (c Config) Validate() error {
 
 // Region is a contiguous tuple array resident in one vault. Tuples holds
 // the functional contents; Addr locates it in the simulated address space.
+// Each vault's worker appends to its own regions inside parallel sections,
+// so a Region fills whole cache lines (DESIGN.md §8).
 type Region struct {
 	Vault  *hmc.Vault
 	Addr   int64
 	Tuples []tuple.Tuple
 	cap    int
+	_      [16]byte // pad to 64 B
 }
 
 // Cap returns the region's capacity in tuples.

@@ -55,6 +55,7 @@ type Outbox struct {
 	seq    int32
 	perDst [][]exMsg // staged messages per destination vault
 	netCnt []uint64  // network messages per destination (flushes or tuples)
+	_      [56]byte  // pad to 128 B: sources send in parallel (DESIGN.md §8)
 }
 
 // NewExchange prepares a staged exchange into the given per-vault
@@ -120,11 +121,17 @@ func (o *Outbox) Send(dst int, t tuple.Tuple) error {
 	return nil
 }
 
-// arrival is one staged message annotated with its source for the
-// destination-side ordering.
+// arrival locates one staged message for the destination-side ordering:
+// its source and its index in that source's staging list for the
+// destination. Eight bytes against the 24 of the message it points at.
 type arrival struct {
-	src int
-	m   exMsg
+	src, idx int32
+}
+
+// staged returns the tuple arrival a points at among destination d's
+// staging lists.
+func (x *Exchange) staged(d int, a arrival) tuple.Tuple {
+	return x.boxes[a.src].perDst[d][a.idx].t
 }
 
 // Flush applies all staged messages: destination-side writes in parallel
@@ -170,6 +177,7 @@ func (x *Exchange) Flush() error {
 		// already seq-sorted and sources are visited in src order, so a
 		// stable counting sort by seq reproduces the comparison sort's
 		// permutation in O(n + maxSeq) without per-element comparisons.
+		// The sort permutes indexes into the staging lists, not copies.
 		maxSeq := int32(-1)
 		for s := range x.boxes {
 			if l := x.boxes[s].perDst[d]; len(l) > 0 {
@@ -189,8 +197,8 @@ func (x *Exchange) Flush() error {
 		}
 		arr := make([]arrival, total)
 		for s := range x.boxes {
-			for _, m := range x.boxes[s].perDst[d] {
-				arr[counts[m.seq]] = arrival{src: s, m: m}
+			for i, m := range x.boxes[s].perDst[d] {
+				arr[counts[m.seq]] = arrival{src: int32(s), idx: int32(i)}
 				counts[m.seq]++
 			}
 		}
@@ -200,7 +208,7 @@ func (x *Exchange) Flush() error {
 		// DRAM run. Tracing keeps the per-arrival loop (events carry
 		// per-source attribution); so does NoBulk.
 		if x.perm && !e.cfg.NoBulk && shards == nil && dst.Vault.ShuffleActive() {
-			return x.applyPermutableRun(dst, arr)
+			return x.applyPermutableRun(d, arr)
 		}
 		if !x.perm {
 			// The conventional slots are 0..total-1: extend once.
@@ -217,9 +225,9 @@ func (x *Exchange) Flush() error {
 					return err
 				}
 				if shards != nil {
-					shards[d] = append(shards[d], traceEvent{unit: a.src, kind: TracePermuted, addr: placed, size: tuple.Size, write: true})
+					shards[d] = append(shards[d], traceEvent{unit: int(a.src), kind: TracePermuted, addr: placed, size: tuple.Size, write: true})
 				}
-				dst.Tuples = append(dst.Tuples, a.m.t) // arrival order IS the layout
+				dst.Tuples = append(dst.Tuples, x.staged(d, a)) // arrival order IS the layout
 				continue
 			}
 			idx := offset[a.src][d]
@@ -227,10 +235,10 @@ func (x *Exchange) Flush() error {
 			if idx < 0 || idx >= dst.cap {
 				panic(fmt.Sprintf("engine: send index %d outside capacity %d", idx, dst.cap))
 			}
-			dst.Tuples[idx] = a.m.t
+			dst.Tuples[idx] = x.staged(d, a)
 			addr := dst.addrOf(idx)
 			if shards != nil {
-				shards[d] = append(shards[d], traceEvent{unit: a.src, kind: TraceShuffle, addr: addr, size: tuple.Size, write: true})
+				shards[d] = append(shards[d], traceEvent{unit: int(a.src), kind: TraceShuffle, addr: addr, size: tuple.Size, write: true})
 			}
 			dst.Vault.Write(addr, tuple.Size)
 			dst.Vault.RecordInbound(tuple.Size)
@@ -262,12 +270,13 @@ func (x *Exchange) Flush() error {
 	return nil
 }
 
-// applyPermutableRun retires a destination's sorted arrival list as one
+// applyPermutableRun retires destination d's sorted arrival list as one
 // sequential permutable-append run — byte-identical accounting to the
 // per-arrival loop, including the partial-application semantics on
 // overflow (writes preceding the overflowing arrival land; the error
 // matches the one the scalar loop would have returned for that arrival).
-func (x *Exchange) applyPermutableRun(dst *Region, arr []arrival) error {
+func (x *Exchange) applyPermutableRun(d int, arr []arrival) error {
+	dst := x.dests[d]
 	apply := len(arr)
 	var fullErr error
 	if avail := dst.cap - len(dst.Tuples); apply > avail {
@@ -276,7 +285,7 @@ func (x *Exchange) applyPermutableRun(dst *Region, arr []arrival) error {
 	}
 	_, n, err := dst.Vault.PermutableWriteRun(tuple.Size, apply)
 	for i := 0; i < n; i++ {
-		dst.Tuples = append(dst.Tuples, arr[i].m.t) // arrival order IS the layout
+		dst.Tuples = append(dst.Tuples, x.staged(d, arr[i])) // arrival order IS the layout
 	}
 	if err != nil {
 		return err

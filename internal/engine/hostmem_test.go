@@ -1,8 +1,14 @@
 package engine
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
+	"unsafe"
 
+	"github.com/ecocloud-go/mondrian/internal/cache"
+	"github.com/ecocloud-go/mondrian/internal/hmc"
 	"github.com/ecocloud-go/mondrian/internal/tuple"
 )
 
@@ -199,6 +205,172 @@ func TestResetDropsStreamGroupViews(t *testing.T) {
 	for i, rd := range u.group.readers[:cap(u.group.readers)] {
 		if rd.r != nil {
 			t.Fatalf("reader %d still references a view after Reset", i)
+		}
+	}
+}
+
+// TestNMPRunTrafficBoundedByPage checks that a long bulk run on a
+// cache-backed vault unit retires one page at a time: the unit's reusable
+// L1 traffic list never holds more than one page of blocks' traffic (a
+// demand fetch, its prefetches and as many writebacks per block), so a
+// pooled engine does not keep a list sized by its longest run.
+func TestNMPRunTrafficBoundedByPage(t *testing.T) {
+	e := mustEngine(t, nmpConfig(false))
+	r, err := e.AllocOut(0, (1<<20)/tuple.Size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := e.UnitForVault(0)
+	e.BeginStep(StepProfile{Name: "write", DepIPC: 1, InstPerAccess: 4})
+	u.WriteRunBytes(r.Addr, tuple.Size, r.Cap())
+	e.EndStep()
+	l1 := cache.L1D32K()
+	bound := pageBytes / l1.BlockBytes * (2 + 2*l1.PrefetchDegree)
+	if c := cap(u.runRes.Ops); c > bound {
+		t.Fatalf("a 1 MB run left a traffic list of capacity %d, want at most one page's %d", c, bound)
+	}
+}
+
+// recordingTracer keeps every traced access in order.
+type recordingTracer struct{ events []traceEvent }
+
+func (r *recordingTracer) Access(unit int, kind AccessKind, addr int64, size int, write bool) {
+	r.events = append(r.events, traceEvent{unit: unit, kind: kind, addr: addr, size: size, write: write})
+}
+
+// TestFlushMatchesComparisonSort is a randomized differential of
+// Exchange.Flush against the arrival order it must reproduce: every
+// destination applies its staged tuples sorted by (per-source sequence,
+// source). Sources send uneven amounts, some nothing, with a bias towards
+// destination 0. Conventional destinations place each source's tuples in
+// its prefix-sum slot range; permutable ones append in arrival order. With
+// a tracer, the write events (and so the DRAM row traffic) must come in
+// the same order at the same addresses; without one, permutable
+// destinations retire as one run and must hold the same layout.
+func TestFlushMatchesComparisonSort(t *testing.T) {
+	if n := unsafe.Sizeof(arrival{}); n > 8 {
+		t.Fatalf("an arrival is %d B, want at most 8", n)
+	}
+	type msg struct {
+		seq, src int
+		t        tuple.Tuple
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, perm := range []bool{false, true} {
+			for _, traced := range []bool{false, true} {
+				name := fmt.Sprintf("seed=%d/perm=%v/traced=%v", seed, perm, traced)
+				cfg := nmpConfig(perm)
+				cfg.Parallelism = 2
+				e := mustEngine(t, cfg)
+				nv := e.NumVaults()
+				rng := rand.New(rand.NewSource(seed))
+				perSource := make([][]int64, nv)
+				sends := make([][]int, nv) // destination of each send, per source
+				for s := range perSource {
+					perSource[s] = make([]int64, nv)
+					n := rng.Intn(80)
+					if rng.Intn(4) == 0 {
+						n = 0
+					}
+					for i := 0; i < n; i++ {
+						d := rng.Intn(nv)
+						if rng.Intn(3) == 0 {
+							d = 0
+						}
+						sends[s] = append(sends[s], d)
+						perSource[s][d]++
+					}
+				}
+				dests, err := e.MallocPermutable(nv * 80)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := e.ShuffleBegin(dests, perSource); err != nil {
+					t.Fatal(err)
+				}
+				e.BeginStep(StepProfile{Name: "dist", DepIPC: 1, InstPerAccess: 4})
+				x := e.NewExchange(dests, perSource)
+				want := make([][]msg, nv)
+				for s, ds := range sends {
+					for i, d := range ds {
+						tp := tuple.Tuple{Key: tuple.Key(s<<20 | i), Val: tuple.Value(rng.Uint64())}
+						if err := x.Outbox(s).Send(d, tp); err != nil {
+							t.Fatal(err)
+						}
+						want[d] = append(want[d], msg{seq: i, src: s, t: tp})
+					}
+				}
+				tr := &recordingTracer{}
+				if traced {
+					e.SetTracer(tr)
+				}
+				if err := x.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				e.EndStep()
+				e.ShuffleEnd(dests)
+
+				var events []traceEvent
+				for d, ms := range want {
+					sort.Slice(ms, func(i, j int) bool {
+						if ms[i].seq != ms[j].seq {
+							return ms[i].seq < ms[j].seq
+						}
+						return ms[i].src < ms[j].src
+					})
+					dst := dests[d]
+					if len(dst.Tuples) != len(ms) {
+						t.Fatalf("%s: destination %d holds %d tuples, want %d", name, d, len(dst.Tuples), len(ms))
+					}
+					// Conventional slots: source s's k-th tuple for d lands
+					// after every lower source's tuples for d.
+					slot := make([]int, nv)
+					for s := 1; s < nv; s++ {
+						slot[s] = slot[s-1] + int(perSource[s-1][d])
+					}
+					for k, m := range ms {
+						at, kind := k, TracePermuted
+						if !perm {
+							at, kind = slot[m.src], TraceShuffle
+							slot[m.src]++
+						}
+						if dst.Tuples[at] != m.t {
+							t.Fatalf("%s: destination %d slot %d holds %+v, want %+v", name, d, at, dst.Tuples[at], m.t)
+						}
+						events = append(events, traceEvent{unit: m.src, kind: kind, addr: dst.addrOf(at), size: tuple.Size, write: true})
+					}
+				}
+				if !traced {
+					continue
+				}
+				if len(tr.events) != len(events) {
+					t.Fatalf("%s: %d write events traced, want %d", name, len(tr.events), len(events))
+				}
+				for i := range events {
+					if tr.events[i] != events[i] {
+						t.Fatalf("%s: write event %d is %+v, want %+v", name, i, tr.events[i], events[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPerVaultStateFillsCacheLines pins the size of the per-vault state
+// that workers write per tuple inside parallel sections to whole 64 B
+// cache lines. Each is allocated once per vault in a loop, so without the
+// padding neighbouring vaults' copies share a line and every append or
+// push from one worker invalidates the line under another (false sharing:
+// NMP-seq spent a third more CPU at Parallelism 2 than at 1).
+func TestPerVaultStateFillsCacheLines(t *testing.T) {
+	for name, size := range map[string]uintptr{
+		"engine.Region":       unsafe.Sizeof(Region{}),
+		"engine.Outbox":       unsafe.Sizeof(Outbox{}),
+		"hmc.ObjectBuffer":    unsafe.Sizeof(hmc.ObjectBuffer{}),
+		"hmc.StreamBufferSet": unsafe.Sizeof(hmc.StreamBufferSet{}),
+	} {
+		if size%64 != 0 {
+			t.Errorf("%s is %d B, want a multiple of 64", name, size)
 		}
 	}
 }

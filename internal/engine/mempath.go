@@ -189,11 +189,7 @@ func (u *Unit) vaultRoute(dst *hmc.Vault, size int) float64 {
 // the LLC stage exactly as the per-element path sends it.
 func (u *Unit) cpuRunAccess(addr int64, stride, count int, write bool) {
 	for count > 0 {
-		pageEnd := (addr/pageBytes + 1) * pageBytes
-		k := int((pageEnd - addr + int64(stride) - 1) / int64(stride))
-		if k > count {
-			k = count
-		}
+		k := pageRun(addr, stride, count)
 		u.tlbLookup(addr)
 		if k > 1 && !u.tlbL1.AccessHitRun(addr+int64(stride), k-1, false) {
 			// The first lookup always installs the page's entry; this
@@ -211,10 +207,25 @@ func (u *Unit) cpuRunAccess(addr int64, stride, count int, write bool) {
 
 // nmpRunAccess retires a sequential run on a cache-backed vault unit: the
 // L1 batches same-block hits, and the miss traffic list replays through
-// the fabric in the per-element order.
+// the fabric in the per-element order. The run retires one page at a time,
+// as on the CPU, so the unit's traffic list stays bounded by one page of
+// blocks however long the run; the L1 never reads fabric state, so the
+// fabric sees the same traffic in the same order.
 func (u *Unit) nmpRunAccess(addr int64, stride, count int, write bool) {
-	u.L1.AccessRun(addr, stride, count, write, &u.runRes)
-	u.toFabric(u.runRes.Ops, write)
+	for count > 0 {
+		k := pageRun(addr, stride, count)
+		u.L1.AccessRun(addr, stride, k, write, &u.runRes)
+		u.toFabric(u.runRes.Ops, write)
+		addr += int64(k) * int64(stride)
+		count -= k
+	}
+}
+
+// pageRun returns how many of a run's count elements of stride bytes,
+// starting at addr, lie in addr's page.
+func pageRun(addr int64, stride, count int) int {
+	pageEnd := (addr/pageBytes + 1) * pageBytes
+	return min(int((pageEnd-addr+int64(stride)-1)/int64(stride)), count)
 }
 
 // pageBytes is the virtual-memory page size the CPU's TLBs cover.

@@ -24,6 +24,11 @@ type ObjectBuffer struct {
 	// Pushes counts store operations absorbed by the buffer — with
 	// Flushes, this gives the buffer's hit (coalescing) rate.
 	Pushes uint64
+
+	// Each unit pushes to its own buffer from its vault's worker, so a
+	// buffer fills whole 64 B cache lines and never shares one with a
+	// neighbour's.
+	_ [32]byte
 }
 
 // NewObjectBuffer creates an object buffer for the given object size.
@@ -108,6 +113,8 @@ type StreamBufferSet struct {
 
 	// FillBytes counts bytes prefetched from DRAM into the buffers.
 	FillBytes uint64
+
+	_ [16]byte // pad to 64 B, as ObjectBuffer
 }
 
 // NewStreamBufferSet creates the buffer set for a compute unit co-located

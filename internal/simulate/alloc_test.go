@@ -3,6 +3,8 @@ package simulate
 import (
 	"runtime"
 	"testing"
+
+	"github.com/ecocloud-go/mondrian/internal/engine"
 )
 
 // parentAllocs and parentBytes hold the heap allocations and allocated
@@ -10,28 +12,30 @@ import (
 // Go 1.24): per system, the four operators in Operators() order, then the
 // five plans in Plans() order. They were recorded once host tuple buffers
 // were sized from the exchanged histograms and outputs were verified by
-// streaming digests, which halved both. Each value is the largest of ten
-// measurements, each in its own process: Go's randomized map hash seeds
-// move the counts by up to 0.4% and the bytes by up to 1.4% (the
-// map-heavy aggregation plans) from process to process.
+// streaming digests, which halved both, and lowered where they fell once
+// placement stopped building a relation per vault chunk and the
+// exchange's arrival order became an index permutation. Each value is the
+// largest of ten measurements, each in its own process: Go's randomized
+// map hash seeds move the counts by up to 0.4% and the bytes by up to
+// 1.4% (the map-heavy aggregation plans) from process to process.
 var parentAllocs = map[System][9]float64{
-	CPU:            {65, 392, 4507, 827, 466, 4968, 8427, 8855, 5659},
-	NMP:            {90, 323, 4369, 559, 266, 4516, 7823, 8122, 4612},
-	NMPPerm:        {90, 314, 4360, 541, 257, 4507, 7806, 8095, 4585},
-	NMPRand:        {90, 323, 4369, 559, 266, 4516, 7825, 8121, 4611},
-	NMPSeq:         {90, 323, 2414, 766, 266, 2561, 4543, 4842, 3276},
-	MondrianNoPerm: {98, 283, 2382, 707, 290, 2472, 4435, 4676, 3109},
-	Mondrian:       {98, 273, 2373, 689, 281, 2463, 4417, 4651, 3082},
+	CPU:            {54, 380, 4496, 807, 455, 4956, 8407, 8835, 5630},
+	NMP:            {79, 311, 4358, 539, 255, 4505, 7806, 8102, 4582},
+	NMPPerm:        {79, 302, 4349, 521, 246, 4496, 7784, 8073, 4555},
+	NMPRand:        {79, 311, 4358, 539, 255, 4505, 7802, 8101, 4583},
+	NMPSeq:         {79, 311, 2402, 745, 255, 2549, 4522, 4817, 3244},
+	MondrianNoPerm: {87, 271, 2369, 686, 279, 2460, 4415, 4655, 3078},
+	Mondrian:       {87, 262, 2361, 668, 270, 2451, 4397, 4629, 3051},
 }
 
 var parentBytes = map[System][9]float64{
-	CPU:            {277632, 592947, 1286720, 1603662, 318083, 1956334, 3509785, 4641003, 3052990},
-	NMP:            {278636, 1087084, 1800620, 2198185, 290611, 1941988, 3472100, 5523931, 3207016},
-	NMPPerm:        {278587, 1086441, 1799897, 2196782, 289900, 1941292, 3470697, 5521790, 3204931},
-	NMPRand:        {278614, 1087092, 1800643, 2198203, 290619, 1942006, 3486849, 5530723, 3199651},
-	NMPSeq:         {278531, 1087089, 1539521, 2278726, 290604, 1680276, 3215248, 5248148, 3152595},
-	MondrianNoPerm: {278667, 1084680, 1537267, 2272083, 290996, 1672577, 3194030, 5231208, 3137238},
-	Mondrian:       {278659, 1083926, 1536536, 2270609, 290299, 1671929, 3192664, 5236899, 3135060},
+	CPU:            {277110, 592947, 1286720, 1603662, 318083, 1956334, 3509785, 4641003, 3052990},
+	NMP:            {278073, 862803, 1569580, 1869001, 290571, 1717862, 3151112, 4647942, 2821859},
+	NMPPerm:        {278051, 862116, 1568889, 1867596, 289900, 1717179, 3141475, 4638019, 2819747},
+	NMPRand:        {278080, 862806, 1569588, 1869019, 290579, 1717841, 3142910, 4640544, 2829251},
+	NMPSeq:         {278051, 862806, 1308385, 1949516, 290604, 1456052, 2872180, 4371273, 2774771},
+	MondrianNoPerm: {278187, 860382, 1306062, 1942900, 290996, 1448380, 2865267, 4363265, 2766779},
+	Mondrian:       {278220, 859643, 1305385, 1941484, 290259, 1447707, 2856473, 4361571, 2764628},
 }
 
 // allocsPerRun is testing.AllocsPerRun that also reports the bytes
@@ -50,11 +54,9 @@ func allocsPerRun(runs int, f func()) (allocs, bytes float64) {
 }
 
 // forEachCell calls f with every System × Operator and System × Plan
-// cell at goldenParams (Parallelism 1), its index into the parent tables
-// and a function running it once pooled.
-func forEachCell(t *testing.T, f func(s System, i int, name string, run func())) {
-	p := goldenParams()
-	p.Parallelism = 1
+// cell at p, its index into the parent tables and a function running it
+// once pooled.
+func forEachCell(t *testing.T, p Params, f func(s System, i int, name string, run func())) {
 	for _, s := range Systems() {
 		for i, op := range Operators() {
 			name := s.String() + "/" + op.String()
@@ -87,7 +89,9 @@ func TestRunAllocationBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	forEachCell(t, func(s System, i int, name string, run func()) {
+	p := goldenParams()
+	p.Parallelism = 1
+	forEachCell(t, p, func(s System, i int, name string, run func()) {
 		run() // fill the pool
 		allocs, bytes := allocsPerRun(5, run)
 		if want := parentAllocs[s][i]; allocs > want+2+want/1000 {
@@ -97,4 +101,46 @@ func TestRunAllocationBound(t *testing.T) {
 			t.Errorf("%s: %.0f bytes allocated per pooled run, want at most %.0f (recorded %.0f)", name, bytes, want*1.02, want)
 		}
 	})
+}
+
+// TestPoolRetainsNoInputSizedState checks that what the engine pool keeps
+// between runs is the engines' construction state, not scratch sized by
+// the longest run an engine has retired: once every System × Operator and
+// System × Plan cell has run pooled, the live heap a fresh pool holds is
+// no larger at 4× the input than at goldenParams.
+func TestPoolRetainsNoInputSizedState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation moves the live heap")
+	}
+	retained := func(scale int) uint64 {
+		saved := enginePool
+		defer func() { enginePool = saved }()
+		enginePool = engine.NewPool(1)
+		p := goldenParams()
+		p.Parallelism = 1
+		p.STuples *= scale
+		p.RTuples *= scale
+		before := liveHeap()
+		forEachCell(t, p, func(_ System, _ int, _ string, run func()) { run() })
+		after := liveHeap()
+		runtime.KeepAlive(enginePool)
+		if after < before {
+			return 0
+		}
+		return after - before
+	}
+	base, large := retained(1), retained(4)
+	t.Logf("the pool retains %d B at 1×, %d B at 4× the input", base, large)
+	// Slack for the allocator's and the runtime's own bookkeeping.
+	if large > base+base/20+64<<10 {
+		t.Fatalf("the pool retains %d B after runs at 4× the input, %d B at 1×: pooled engines keep input-sized state", large, base)
+	}
+}
+
+// liveHeap returns the heap bytes still reachable after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }

@@ -142,14 +142,15 @@ func dimRelation(n int) *tuple.Relation {
 // selector implements experiment.
 func (pl Plan) selector() (string, int, int) { return "Plan", int(pl), int(numPlans) }
 
-// body implements experiment: it places the plan's base tables, compiles
-// and runs the plan, and returns the check of its output against the
-// composed operator references.
+// body implements experiment: it generates the plan's base tables, digests
+// the composed operator references from them, places them, compiles and
+// runs the plan, and returns the check of its output against that digest.
+// As in Operator.body, the reference is built before placement.
 func (pl Plan) body(e *engine.Engine, s System, p Params) (report, *outputCheck, error) {
 	opCfg := p.OperatorConfig(s)
 	res := &PlanResult{System: s, Plan: pl}
 
-	// Build the logical tree and the composed reference for each shape.
+	// Build the composed reference and the logical tree for each shape.
 	var root plan.Node
 	var want tuple.Digest // digest of the expected output
 	ordered := false      // final stage is a Sort → check global order too
@@ -169,12 +170,12 @@ func (pl Plan) body(e *engine.Engine, s System, p Params) (report, *outputCheck,
 			return nil, nil, err
 		}
 		needle, _ := workload.ScanTarget(rel, p.Seed+1)
+		want = tuple.DigestOf(operators.RefScan(rel.Tuples, needle))
 		t, err := table("s", rel)
 		if err != nil {
 			return nil, nil, err
 		}
 		root = &plan.Sort{In: &plan.Filter{In: t, Needle: needle}}
-		want = tuple.DigestOf(operators.RefScan(rel.Tuples, needle))
 		ordered = true
 
 	case PlanSortAgg:
@@ -182,6 +183,7 @@ func (pl Plan) body(e *engine.Engine, s System, p Params) (report, *outputCheck,
 		if err != nil {
 			return nil, nil, err
 		}
+		want = refGroupByDigest(tuple.SeqOf(rel.Tuples))
 		t, err := table("s", rel)
 		if err != nil {
 			return nil, nil, err
@@ -199,13 +201,13 @@ func (pl Plan) body(e *engine.Engine, s System, p Params) (report, *outputCheck,
 			ks = uint64(groups)
 		}
 		root = &plan.GroupBy{In: &plan.Sort{In: t, KeySpace: ks}}
-		want = refGroupByDigest(tuple.SeqOf(rel.Tuples))
 
 	case PlanJoinAgg:
 		rRel, sRel, err := joinInput(p)
 		if err != nil {
 			return nil, nil, err
 		}
+		want = refGroupByDigest(operators.RefJoinSeq(rRel.Tuples, tuple.SeqOf(sRel.Tuples)))
 		rT, err := table("r", rRel)
 		if err != nil {
 			return nil, nil, err
@@ -215,13 +217,13 @@ func (pl Plan) body(e *engine.Engine, s System, p Params) (report, *outputCheck,
 			return nil, nil, err
 		}
 		root = &plan.GroupBy{In: &plan.Join{R: rT, S: sT}}
-		want = refGroupByDigest(operators.RefJoinSeq(rRel.Tuples, tuple.SeqOf(sRel.Tuples)))
 
 	case PlanJoinAggSort:
 		rRel, sRel, err := joinInput(p)
 		if err != nil {
 			return nil, nil, err
 		}
+		want = refGroupByDigest(operators.RefJoinSeq(rRel.Tuples, tuple.SeqOf(sRel.Tuples)))
 		rT, err := table("r", rRel)
 		if err != nil {
 			return nil, nil, err
@@ -237,7 +239,6 @@ func (pl Plan) body(e *engine.Engine, s System, p Params) (report, *outputCheck,
 			KeySpace: uint64(p.RTuples),
 			In:       &plan.GroupBy{In: &plan.Join{R: rT, S: sT}},
 		}
-		want = refGroupByDigest(operators.RefJoinSeq(rRel.Tuples, tuple.SeqOf(sRel.Tuples)))
 		ordered = true
 
 	case PlanStarJoinAgg:
@@ -246,6 +247,8 @@ func (pl Plan) body(e *engine.Engine, s System, p Params) (report, *outputCheck,
 			return nil, nil, err
 		}
 		dRel := dimRelation(p.RTuples / 2)
+		want = refGroupByDigest(operators.RefJoinSeq(rRel.Tuples,
+			operators.RefJoinSeq(dRel.Tuples, tuple.SeqOf(sRel.Tuples))))
 		rT, err := table("r1", rRel)
 		if err != nil {
 			return nil, nil, err
@@ -259,8 +262,6 @@ func (pl Plan) body(e *engine.Engine, s System, p Params) (report, *outputCheck,
 			return nil, nil, err
 		}
 		root = &plan.GroupBy{In: &plan.MultiJoin{Fact: sT, Dims: []plan.Node{rT, dT}}}
-		want = refGroupByDigest(operators.RefJoinSeq(rRel.Tuples,
-			operators.RefJoinSeq(dRel.Tuples, tuple.SeqOf(sRel.Tuples))))
 
 	default:
 		return nil, nil, fmt.Errorf("simulate: unknown plan %v", pl)

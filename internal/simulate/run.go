@@ -124,12 +124,12 @@ func joinInput(p Params) (rRel, sRel *tuple.Relation, err error) {
 	return workload.FKPair(c, p.RTuples)
 }
 
-// place spreads a relation evenly across the vaults.
+// place spreads a relation evenly across the vaults, in SplitEven's
+// chunks.
 func place(e *engine.Engine, rel *tuple.Relation) ([]*engine.Region, error) {
-	parts := rel.SplitEven(e.NumVaults())
-	regions := make([]*engine.Region, len(parts))
-	for v, p := range parts {
-		r, err := e.Place(v, p.Tuples)
+	regions := make([]*engine.Region, e.NumVaults())
+	for v := range regions {
+		r, err := e.Place(v, rel.Chunk(v, len(regions)))
 		if err != nil {
 			return nil, err
 		}
@@ -151,8 +151,12 @@ func Run(s System, op Operator, p Params) (*Result, error) {
 // selector implements experiment.
 func (op Operator) selector() (string, int, int) { return "Operator", int(op), int(numOperators) }
 
-// body implements experiment: it places the operator's inputs, runs the
-// operator and returns the check of its output against the reference.
+// body implements experiment: it generates the operator's inputs, digests
+// the reference output from them, places them, runs the operator and
+// returns the check of its output against that reference. The reference
+// is built before placement so that neither it nor the generated
+// relations, which die once copied into the vaults, coexist with the
+// run's own buffers (DESIGN.md §18).
 func (op Operator) body(e *engine.Engine, s System, p Params) (report, *outputCheck, error) {
 	opCfg := p.OperatorConfig(s)
 	res := &Result{System: s, Operator: op}
@@ -164,7 +168,8 @@ func (op Operator) body(e *engine.Engine, s System, p Params) (report, *outputCh
 		if err != nil {
 			return nil, nil, err
 		}
-		needle, want := workload.ScanTarget(rel, p.Seed+1)
+		needle, matches := workload.ScanTarget(rel, p.Seed+1)
+		want := tuple.DigestOf(operators.RefScan(rel.Tuples, needle))
 		inputs, err := place(e, rel)
 		if err != nil {
 			return nil, nil, err
@@ -174,13 +179,14 @@ func (op Operator) body(e *engine.Engine, s System, p Params) (report, *outputCh
 			return nil, nil, err
 		}
 		res.ProbeNs = r.ProbeNs
-		chk = &outputCheck{out: r.Out, want: tuple.DigestOf(operators.RefScan(rel.Tuples, needle)), miscount: r.Matches != want}
+		chk = &outputCheck{out: r.Out, want: want, miscount: r.Matches != matches}
 
 	case OpSort:
 		rel, err := streamInput("sort-in", p)
 		if err != nil {
 			return nil, nil, err
 		}
+		want := tuple.DigestOf(rel.Tuples)
 		inputs, err := place(e, rel)
 		if err != nil {
 			return nil, nil, err
@@ -190,7 +196,7 @@ func (op Operator) body(e *engine.Engine, s System, p Params) (report, *outputCh
 			return nil, nil, err
 		}
 		res.PartitionNs, res.ProbeNs = r.PartitionNs, r.ProbeNs
-		chk = &outputCheck{out: r.Sorted, want: tuple.DigestOf(rel.Tuples), sorted: r.Sorted, ordered: true}
+		chk = &outputCheck{out: r.Sorted, want: want, sorted: r.Sorted, ordered: true}
 		res.DistBWPerVaultGBs = distBW(r.Partition, e.NumVaults())
 
 	case OpGroupBy:
@@ -198,6 +204,7 @@ func (op Operator) body(e *engine.Engine, s System, p Params) (report, *outputCh
 		if err != nil {
 			return nil, nil, err
 		}
+		want := refGroupByDigest(tuple.SeqOf(rel.Tuples))
 		inputs, err := place(e, rel)
 		if err != nil {
 			return nil, nil, err
@@ -207,7 +214,7 @@ func (op Operator) body(e *engine.Engine, s System, p Params) (report, *outputCh
 			return nil, nil, err
 		}
 		res.PartitionNs, res.ProbeNs = r.PartitionNs, r.ProbeNs
-		chk = &outputCheck{out: r.Out, want: refGroupByDigest(tuple.SeqOf(rel.Tuples))}
+		chk = &outputCheck{out: r.Out, want: want}
 		res.DistBWPerVaultGBs = distBW(r.Partition, e.NumVaults())
 
 	case OpJoin:
@@ -215,6 +222,7 @@ func (op Operator) body(e *engine.Engine, s System, p Params) (report, *outputCh
 		if err != nil {
 			return nil, nil, err
 		}
+		want := tuple.DigestOfSeq(operators.RefJoinSeq(rRel.Tuples, tuple.SeqOf(sRel.Tuples)))
 		rIn, err := place(e, rRel)
 		if err != nil {
 			return nil, nil, err
@@ -228,7 +236,7 @@ func (op Operator) body(e *engine.Engine, s System, p Params) (report, *outputCh
 			return nil, nil, err
 		}
 		res.PartitionNs, res.ProbeNs = r.PartitionNs, r.ProbeNs
-		chk = &outputCheck{out: r.Out, want: tuple.DigestOfSeq(operators.RefJoinSeq(rRel.Tuples, tuple.SeqOf(sRel.Tuples)))}
+		chk = &outputCheck{out: r.Out, want: want}
 		res.DistBWPerVaultGBs = distBW(r.SPartition, e.NumVaults())
 
 	default:

@@ -96,20 +96,21 @@ func (r *Relation) SplitEven(n int) []*Relation {
 		panic("tuple: SplitEven requires n > 0")
 	}
 	out := make([]*Relation, n)
-	total := len(r.Tuples)
-	start := 0
-	for i := 0; i < n; i++ {
-		size := total / n
-		if i < total%n {
-			size++
-		}
-		out[i] = &Relation{
-			Name:   r.Name,
-			Tuples: r.Tuples[start : start+size],
-		}
-		start += size
+	for i := range out {
+		out[i] = &Relation{Name: r.Name, Tuples: r.Chunk(i, n)}
 	}
 	return out
+}
+
+// Chunk returns the tuples of SplitEven's chunk i of n without building
+// the chunks: the first len%n chunks hold one tuple more than the rest.
+func (r *Relation) Chunk(i, n int) []Tuple {
+	q, extra := len(r.Tuples)/n, len(r.Tuples)%n
+	start := i*q + min(i, extra)
+	if i < extra {
+		return r.Tuples[start : start+q+1]
+	}
+	return r.Tuples[start : start+q]
 }
 
 // ChunkName formats the indexed display name of chunk i of this
