@@ -38,10 +38,12 @@ race:
 # the CPU system's golden reports and plan manifests at Parallelism 1
 # (LLC stage inline) against Parallelism 4 (LLC stage on its own
 # goroutine). Go splits -run patterns at unbracketed slashes, hence the
-# group around the two test names.
+# group around the two test names. The MapReduce and BSP goldens run the
+# shared vault shuffle at Parallelism 1 and 4.
 race-smoke:
 	$(GO) test -race -count=2 -run TestConcurrentRunDeterminism ./internal/simulate/
 	$(GO) test -race -run '(TestGoldenDeterminism|TestPlanManifestDeterminism)/CPU' ./internal/simulate/
+	$(GO) test -race -run 'TestMapReduceGolden|TestBSPGolden' ./internal/mapreduce/ ./internal/bsp/
 
 # Short fuzzing sweep over the multiset-digest and operator round-trip
 # properties plus the no-panic boundary of simulate.Run and RunPlan (the

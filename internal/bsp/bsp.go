@@ -18,6 +18,7 @@ import (
 	"sort"
 
 	"github.com/ecocloud-go/mondrian/internal/engine"
+	"github.com/ecocloud-go/mondrian/internal/operators"
 	"github.com/ecocloud-go/mondrian/internal/tuple"
 )
 
@@ -111,6 +112,9 @@ func Run(e *engine.Engine, p Program, g *Graph, maxSupersteps int) (*Result, err
 	if p.Init == nil || p.Message == nil || p.Combine == nil || p.Apply == nil {
 		return nil, fmt.Errorf("bsp: program %q incomplete", p.Name)
 	}
+	if e.Config().Arch == engine.CPU {
+		return nil, fmt.Errorf("bsp: program %q needs vault-resident units, not host cores", p.Name)
+	}
 	nv := e.NumVaults()
 	t0 := e.TotalNs()
 
@@ -166,12 +170,8 @@ func superstep(e *engine.Engine, p Program, g *Graph, states []int64,
 	nv := e.NumVaults()
 	streamed := e.StreamFed()
 
-	// Phase 1: scan local vertices+edges, stage outgoing messages.
-	type msg struct {
-		dst int32
-		val int64
-	}
-	stagedMsgs := make([][]msg, nv)
+	// Phase 1: scan local vertices+edges, stage outgoing messages as
+	// (destination vertex, value) tuples.
 	staging := make([]*engine.Region, nv)
 	e.BeginStep(engine.StepProfile{Name: "bsp-scatter", DepIPC: 1.5, InstPerAccess: 4, StreamFed: streamed})
 	if err := e.ForEachVault(func(vault int, u *engine.Unit) error {
@@ -182,6 +182,7 @@ func superstep(e *engine.Engine, p Program, g *Graph, states []int64,
 		}
 		// Per-vertex message values.
 		outVal := make(map[int32]int64, len(localVerts[vault]))
+		var msgs []tuple.Tuple
 		for {
 			t, ok := readers[0].Next()
 			if !ok {
@@ -199,17 +200,17 @@ func superstep(e *engine.Engine, p Program, g *Graph, states []int64,
 			}
 			u.Charge(p.edgeInsts())
 			if mv, ok := outVal[int32(t.Key)]; ok {
-				stagedMsgs[vault] = append(stagedMsgs[vault], msg{dst: int32(t.Val), val: mv})
+				msgs = append(msgs, tuple.Tuple{Key: tuple.Key(t.Val), Val: tuple.Value(mv)})
 			}
 		}
-		r, err := e.AllocOut(vault, maxInt(len(stagedMsgs[vault]), 1))
+		r, err := e.AllocOut(vault, max(len(msgs), 1))
 		if err != nil {
 			return err
 		}
 		// Staged messages are produced into a local buffer (sequential
 		// writes) before the exchange.
-		for _, m := range stagedMsgs[vault] {
-			u.AppendLocal(r, tuple.Tuple{Key: tuple.Key(m.dst), Val: tuple.Value(m.val)})
+		for _, m := range msgs {
+			u.AppendLocal(r, m)
 		}
 		staging[vault] = r
 		return nil
@@ -219,50 +220,10 @@ func superstep(e *engine.Engine, p Program, g *Graph, states []int64,
 	e.EndStep()
 
 	// Phase 2: message exchange — the permutable shuffle.
-	perSource := make([][]int64, nv)
-	inbound := make([]int64, nv)
-	for s := 0; s < nv; s++ {
-		perSource[s] = make([]int64, nv)
-		for _, m := range stagedMsgs[s] {
-			perSource[s][vaultOf(int(m.dst), nv)]++
-		}
-		for d, n := range perSource[s] {
-			inbound[d] += n
-		}
-	}
-	maxIn := int64(0)
-	for _, n := range inbound {
-		if n > maxIn {
-			maxIn = n
-		}
-	}
-	dests, err := e.MallocPermutable(int(maxIn) + 64)
+	dests, err := operators.KeyShuffle(e, "bsp-exchange", staging)
 	if err != nil {
 		return false, err
 	}
-	if err := e.ShuffleBegin(dests, perSource); err != nil {
-		return false, err
-	}
-	e.BeginStep(engine.StepProfile{Name: "bsp-exchange", DepIPC: 1.0, InstPerAccess: 4, StreamFed: streamed})
-	x := e.NewExchange(dests, perSource)
-	if err := e.ForEachVault(func(s int, u *engine.Unit) error {
-		ob := x.Outbox(s)
-		for i := 0; i < staging[s].Len(); i++ {
-			t := u.LoadTuple(staging[s], i)
-			u.Charge(6)
-			if err := ob.Send(vaultOf(int(t.Key), nv), t); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return false, err
-	}
-	if err := x.Flush(); err != nil {
-		return false, err
-	}
-	e.EndStep()
-	e.ShuffleEnd(dests)
 
 	// Phase 3: combine inboxes and apply. Each vault reads and writes only
 	// its own vertices' states; cross-vault values arrived as messages.
@@ -315,11 +276,4 @@ func superstep(e *engine.Engine, p Program, g *Graph, states []int64,
 		changed = changed || c
 	}
 	return changed, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,7 @@
 package bsp
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/ecocloud-go/mondrian/internal/cache"
@@ -13,15 +14,30 @@ import (
 
 func testEngine(t *testing.T, arch engine.Arch, perm bool) *engine.Engine {
 	t.Helper()
+	return testEngineAt(t, arch, perm, 0)
+}
+
+// testEngineAt builds the test system with the given host worker count
+// (0 = GOMAXPROCS).
+func testEngineAt(t *testing.T, arch engine.Arch, perm bool, parallelism int) *engine.Engine {
+	t.Helper()
 	g := dram.HMCGeometry()
 	g.CapacityBytes = 8 << 20
 	cfg := engine.Config{
 		Cubes: 2, VaultsPer: 4,
 		Geometry: g, Timing: dram.HMCTiming(),
 		ObjectSize: tuple.Size, BarrierNs: 1000,
-		Topology: noc.FullyConnected,
+		Topology:    noc.FullyConnected,
+		Parallelism: parallelism,
 	}
 	switch arch {
+	case engine.CPU:
+		cfg.Arch = engine.CPU
+		cfg.Core = cores.CortexA57()
+		cfg.CPUCores = 4
+		cfg.Topology = noc.Star
+		cfg.L1 = cache.L1D32K()
+		cfg.LLC = cache.LLC4M()
 	case engine.NMP:
 		cfg.Arch = engine.NMP
 		cfg.Core = cores.Krait400()
@@ -132,6 +148,15 @@ func TestIncompleteProgramRejected(t *testing.T) {
 	}
 }
 
+// BSP runs on the vault units; a host-core system must be refused with
+// an error, not a panic.
+func TestRunRejectsHostCores(t *testing.T) {
+	e := testEngine(t, engine.CPU, false)
+	if _, err := Run(e, PageRank(), Ring(8), 1); err == nil {
+		t.Fatal("host-core engine accepted")
+	}
+}
+
 func TestExchangeUsesPermutability(t *testing.T) {
 	g := RandomGraph(400, 4, 9)
 	run := func(perm bool) (uint64, uint64) {
@@ -168,6 +193,14 @@ func TestSymmetrize(t *testing.T) {
 	}
 	if !found(1, 0) || !found(1, 2) || !found(0, 1) || !found(2, 1) {
 		t.Fatalf("symmetrize: %+v", s.Out)
+	}
+	// Adjacency order feeds the simulated message order, so it must not
+	// follow map iteration.
+	big := Symmetrize(RandomGraph(200, 3, 5))
+	for v, out := range big.Out {
+		if !slices.IsSorted(out) {
+			t.Fatalf("vertex %d: adjacency %v not sorted", v, out)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package bsp
 
 import (
 	"math/rand"
+	"slices"
 )
 
 // Canned vertex programs and reference executors. All arithmetic is
@@ -145,6 +146,8 @@ func Ring(vertices int) *Graph {
 }
 
 // Symmetrize returns the graph with every edge mirrored (deduplicated).
+// Each adjacency list is sorted, so the result — and every simulated
+// number of a run over it — is a pure function of g.
 func Symmetrize(g *Graph) *Graph {
 	sets := make([]map[int32]bool, g.NumVertices)
 	for v := range sets {
@@ -161,6 +164,7 @@ func Symmetrize(g *Graph) *Graph {
 		for d := range set {
 			out.Out[v] = append(out.Out[v], d)
 		}
+		slices.Sort(out.Out[v])
 	}
 	return out
 }

@@ -4,8 +4,9 @@
 // per vault (NMP/Mondrian) or a cache-backed multicore CPU, and exposes
 // the programming model of Fig. 4:
 //
-//   - MallocPermutable / ShuffleBegin / ShuffleEnd toggle hardware data
-//     permutability during the partitioning phase (§5.3, §5.4);
+//   - MallocPermutable / ShuffleBegin / Distribute toggle hardware data
+//     permutability during the partitioning phase (§5.3, §5.4); Distribute
+//     is the one way tuples move between vaults;
 //   - object buffers keep data objects within single memory messages;
 //   - stream buffers feed Mondrian units with binding prefetches (§5.2).
 //
@@ -80,7 +81,7 @@ type Config struct {
 	L1            cache.Config // CPU and NMP
 	LLC           cache.Config // CPU only
 	// BarrierNs is the fixed cost of one all-to-all MSI notification
-	// (ShuffleBegin/ShuffleEnd synchronization, §5.4).
+	// (shuffle_begin/shuffle_end synchronization, §5.4).
 	BarrierNs float64
 	// Parallelism bounds the host worker pool that executes independent
 	// per-vault work (0 = GOMAXPROCS, 1 = serial). It affects wall-clock

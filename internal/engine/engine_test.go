@@ -236,20 +236,7 @@ func TestBarrierAccounting(t *testing.T) {
 	}
 }
 
-func TestSendAtPlacesExactly(t *testing.T) {
-	e := mustEngine(t, nmpConfig(false))
-	dst, _ := e.AllocOut(5, 16)
-	u := e.UnitForVault(0)
-	e.BeginStep(StepProfile{Name: "send"})
-	u.SendAt(dst, 7, tuple.Tuple{Key: 70})
-	u.SendAt(dst, 2, tuple.Tuple{Key: 20})
-	e.EndStep()
-	if dst.Tuples[7].Key != 70 || dst.Tuples[2].Key != 20 {
-		t.Fatalf("SendAt misplaced: %v", dst.Tuples)
-	}
-}
-
-func TestSendPermutableArrivalOrder(t *testing.T) {
+func TestDistributePermutableArrivalOrder(t *testing.T) {
 	e := mustEngine(t, mondrianConfig())
 	dests, err := e.MallocPermutable(64)
 	if err != nil {
@@ -263,15 +250,16 @@ func TestSendPermutableArrivalOrder(t *testing.T) {
 	if err := e.ShuffleBegin(dests, perSource); err != nil {
 		t.Fatal(err)
 	}
-	u := e.UnitForVault(0)
-	e.BeginStep(StepProfile{Name: "dist"})
-	for i := 0; i < 3; i++ {
-		if err := u.SendPermutable(dests[5], tuple.Tuple{Key: tuple.Key(100 + i)}); err != nil {
-			t.Fatal(err)
+	if _, err := e.Distribute(dests, perSource, StepProfile{Name: "dist"}, func(v int, u *Unit, ob *Outbox) error {
+		for i := 0; v == 0 && i < 3; i++ {
+			if err := ob.Send(5, tuple.Tuple{Key: tuple.Key(100 + i)}); err != nil {
+				return err
+			}
 		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	e.EndStep()
-	e.ShuffleEnd(dests)
 	if dests[5].Len() != 3 {
 		t.Fatalf("dest len = %d", dests[5].Len())
 	}
@@ -302,14 +290,30 @@ func TestShuffleBeginOverflowSurfaces(t *testing.T) {
 	}
 }
 
-func TestSendPermutableWithoutBufferFails(t *testing.T) {
-	e := mustEngine(t, nmpConfig(false))
-	dst, _ := e.AllocOut(1, 4)
-	e.BeginStep(StepProfile{})
-	err := e.Units()[0].SendPermutable(dst, tuple.Tuple{})
-	e.EndStep()
-	if err == nil {
-		t.Fatal("SendPermutable without object buffer succeeded")
+// A permutable exchange refuses to send from a unit built without an
+// object buffer.
+func TestOutboxSendWithoutBufferFails(t *testing.T) {
+	e := mustEngine(t, mondrianConfig())
+	dests, err := e.MallocPermutable(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perSource := make([][]int64, len(e.Units()))
+	for i := range perSource {
+		perSource[i] = make([]int64, e.NumVaults())
+	}
+	perSource[0][1] = 1
+	if err := e.ShuffleBegin(dests, perSource); err != nil {
+		t.Fatal(err)
+	}
+	e.UnitForVault(0).ObjBuf = nil
+	if _, err := e.Distribute(dests, perSource, StepProfile{}, func(v int, u *Unit, ob *Outbox) error {
+		if v != 0 {
+			return nil
+		}
+		return ob.Send(1, tuple.Tuple{})
+	}); err == nil {
+		t.Fatal("send without object buffer succeeded")
 	}
 }
 
@@ -448,47 +452,21 @@ func TestShuffleActivationGapEndToEnd(t *testing.T) {
 		if err := e.ShuffleBegin(dests, perSource); err != nil {
 			t.Fatal(err)
 		}
-		// Conventional partitioning: each source owns a contiguous
-		// sub-range of every destination (prefix sums over the
-		// exchanged histograms).
-		offset := make([][]int, nv) // offset[src][dst]
-		for s := range offset {
-			offset[s] = make([]int, nv)
-		}
-		for dst := 0; dst < nv; dst++ {
-			run := 0
-			for src := 0; src < nv; src++ {
-				offset[src][dst] = run
-				run += int(perSource[src][dst])
-			}
-		}
+		// Every source sends one tuple per round: the arrival interleaving
+		// of Fig. 2. Conventional systems write each source's tuples into
+		// its prefix-sum slot range; permutable ones append.
 		actsBefore := e.DRAMStats().Activations
-		e.BeginStep(StepProfile{Name: "distribute"})
-		// Round-robin across sources: the arrival interleaving of Fig. 2.
-		cursors := make([]int, nv)
-		remaining := nv * perVault
-		for remaining > 0 {
-			for v := 0; v < nv; v++ {
-				if cursors[v] >= srcs[v].Len() {
-					continue
-				}
-				u := e.UnitForVault(v)
-				tp := u.LoadTuple(srcs[v], cursors[v])
-				cursors[v]++
-				remaining--
-				dst := int(tp.Key) % nv
-				if perm {
-					if err := u.SendPermutable(dests[dst], tp); err != nil {
-						t.Fatal(err)
-					}
-				} else {
-					u.SendAt(dests[dst], offset[v][dst], tp)
-					offset[v][dst]++
+		if _, err := e.Distribute(dests, perSource, StepProfile{Name: "distribute"}, func(v int, u *Unit, ob *Outbox) error {
+			for i := 0; i < srcs[v].Len(); i++ {
+				tp := u.LoadTuple(srcs[v], i)
+				if err := ob.Send(int(tp.Key)%nv, tp); err != nil {
+					return err
 				}
 			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
-		e.EndStep()
-		e.ShuffleEnd(dests)
 		var all []tuple.Tuple
 		for _, d := range dests {
 			all = append(all, d.Tuples...)
@@ -500,42 +478,53 @@ func TestShuffleActivationGapEndToEnd(t *testing.T) {
 	if !tuple.SameMultiset(tuplesPerm, tuplesNoPerm) {
 		t.Fatal("permutability changed the shuffled multiset")
 	}
+	t.Logf("row activations: conventional %d, permutable %d", actsNoPerm, actsPerm)
 	if actsNoPerm < actsPerm*2 {
 		t.Fatalf("activation gap too small: noperm=%d perm=%d", actsNoPerm, actsPerm)
 	}
 }
 
-// Property: SendPermutable preserves tuple multisets for random fan-outs.
-func TestSendPermutableMultisetProperty(t *testing.T) {
+// Property: a permutable exchange preserves tuple multisets for random
+// fan-outs.
+func TestDistributeMultisetProperty(t *testing.T) {
 	e := mustEngine(t, mondrianConfig())
 	dests, err := e.MallocPermutable(4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	perSource := make([][]int64, len(e.Units()))
+	type send struct {
+		dst int
+		t   tuple.Tuple
+	}
+	nu := len(e.Units())
+	perSource := make([][]int64, nu)
 	for i := range perSource {
 		perSource[i] = make([]int64, e.NumVaults())
-		for j := range perSource[i] {
-			perSource[i][j] = 64 // generous announcement
-		}
+	}
+	rng := rand.New(rand.NewSource(77))
+	sends := make([][]send, nu)
+	var sent []tuple.Tuple
+	for i := 0; i < 500; i++ {
+		src := rng.Intn(nu)
+		dst := rng.Intn(e.NumVaults())
+		tp := tuple.Tuple{Key: tuple.Key(rng.Uint64()), Val: tuple.Value(rng.Uint64())}
+		sends[src] = append(sends[src], send{dst, tp})
+		perSource[src][dst]++
+		sent = append(sent, tp)
 	}
 	if err := e.ShuffleBegin(dests, perSource); err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(77))
-	var sent []tuple.Tuple
-	e.BeginStep(StepProfile{Name: "prop"})
-	for i := 0; i < 500; i++ {
-		src := rng.Intn(len(e.Units()))
-		dst := rng.Intn(e.NumVaults())
-		tp := tuple.Tuple{Key: tuple.Key(rng.Uint64()), Val: tuple.Value(rng.Uint64())}
-		if err := e.Units()[src].SendPermutable(dests[dst], tp); err != nil {
-			t.Fatal(err)
+	if _, err := e.Distribute(dests, perSource, StepProfile{Name: "prop"}, func(v int, u *Unit, ob *Outbox) error {
+		for _, m := range sends[v] {
+			if err := ob.Send(m.dst, m.t); err != nil {
+				return err
+			}
 		}
-		sent = append(sent, tp)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	e.EndStep()
-	e.ShuffleEnd(dests)
 	var got []tuple.Tuple
 	for _, d := range dests {
 		got = append(got, d.Tuples...)

@@ -7,24 +7,22 @@ import (
 	"github.com/ecocloud-go/mondrian/internal/tuple"
 )
 
-// Exchange is the parallel-safe form of the partitioning-phase data
-// distribution (the inner loop between ShuffleBegin and ShuffleEnd). The
-// serial engine interleaved SendAt/SendPermutable calls across source
-// units in a round-robin loop; under host parallelism the sources run
-// concurrently, so cross-vault sends are staged instead:
+// exchange is a shuffle's data distribution (the step between
+// ShuffleBegin and shuffle_end, run by Distribute): the only way tuples
+// move between vaults. The sources run concurrently, so cross-vault sends
+// are staged and applied by their destinations:
 //
 //   - Stage A (parallel by source): each source unit reads its tuples,
 //     charges its instructions, drains its object buffer, and appends the
 //     tuple plus a per-source sequence number to a per-destination staging
 //     list. Only source-owned state is touched.
 //   - Stage B (parallel by destination): each destination vault gathers
-//     its staged messages, sorts them by (sequence, source) — exactly the
-//     arrival interleave of the serial round-robin loop, since every
-//     source sent one tuple per round — and applies the writes in that
-//     order. Only destination-owned state is touched, so the paper's
-//     Fig. 2 row-buffer behaviour (interleaved arrivals → random rows
-//     conventionally, sequential appends with permutability) is
-//     reproduced bit-exactly at every worker count.
+//     its staged messages, sorts them by (sequence, source) — the arrival
+//     interleave of sources that each send one tuple per round — and
+//     applies the writes in that order. Only destination-owned state is
+//     touched, so the paper's Fig. 2 row-buffer behaviour (interleaved
+//     arrivals → random rows conventionally, sequential appends with
+//     permutability) is reproduced bit-exactly at every worker count.
 //   - Stage C (serial): interconnect statistics are applied in (source,
 //     destination) order through the stateless RecordBulk paths. Senders
 //     never consumed the per-message Transfer latency, so aggregating the
@@ -34,7 +32,7 @@ import (
 // which makes the whole exchange — tuple layout, DRAM row traffic,
 // link occupancy, traces — deterministic and identical at parallelism 1
 // and N.
-type Exchange struct {
+type exchange struct {
 	e     *Engine
 	dests []*Region
 	perm  bool
@@ -48,9 +46,9 @@ type exMsg struct {
 }
 
 // Outbox stages one source unit's outbound tuples. Each source owns its
-// Outbox exclusively, so Send is safe inside ForEachVault.
+// Outbox exclusively, so Send is safe in Distribute's parallel callback.
 type Outbox struct {
-	x      *Exchange
+	x      *exchange
 	u      *Unit
 	seq    int32
 	perDst [][]exMsg // staged messages per destination vault
@@ -58,20 +56,19 @@ type Outbox struct {
 	_      [56]byte  // pad to 128 B: sources send in parallel (DESIGN.md §8)
 }
 
-// NewExchange prepares a staged exchange into the given per-vault
+// newExchange prepares a staged exchange into the given per-vault
 // destination regions (as returned by MallocPermutable). Permutability
-// follows the engine configuration, matching the serial engine's choice
-// between SendPermutable and SendAt. perSource is the histogram the
+// follows the engine configuration. perSource is the histogram the
 // shuffle announced in ShuffleBegin: perSource[src][dst] tuples will be
 // sent from src to dst, and each staging list is sized to its count.
-func (e *Engine) NewExchange(dests []*Region, perSource [][]int64) *Exchange {
+func (e *Engine) newExchange(dests []*Region, perSource [][]int64) *exchange {
 	if e.cfg.Arch == CPU {
-		panic("engine: Exchange is for vault-resident units; host cores shuffle through the cache hierarchy")
+		panic("engine: Distribute is for vault-resident units; host cores store through the cache hierarchy")
 	}
 	if len(dests) != e.NumVaults() {
 		panic(fmt.Sprintf("engine: %d destination regions for %d vaults", len(dests), e.NumVaults()))
 	}
-	x := &Exchange{e: e, dests: dests, perm: e.cfg.Permutable}
+	x := &exchange{e: e, dests: dests, perm: e.cfg.Permutable}
 	total := 0
 	for _, row := range perSource {
 		for _, n := range row {
@@ -100,9 +97,6 @@ func (e *Engine) NewExchange(dests []*Region, perSource [][]int64) *Exchange {
 	return x
 }
 
-// Outbox returns source unit src's staging box.
-func (x *Exchange) Outbox(src int) *Outbox { return x.boxes[src] }
-
 // Send stages one tuple for destination vault dst. On permutable systems
 // the tuple passes through the source's object buffer and only completed
 // objects become network messages; conventionally every tuple is its own
@@ -130,15 +124,15 @@ type arrival struct {
 
 // staged returns the tuple arrival a points at among destination d's
 // staging lists.
-func (x *Exchange) staged(d int, a arrival) tuple.Tuple {
+func (x *exchange) staged(d int, a arrival) tuple.Tuple {
 	return x.boxes[a.src].perDst[d][a.idx].t
 }
 
-// Flush applies all staged messages: destination-side writes in parallel
-// (stage B), interconnect statistics serially (stage C). It must be
-// called outside any ForEachVault section, before EndStep, so the DRAM
-// and link activity lands in the step that performed the sends.
-func (x *Exchange) Flush() error {
+// flush applies all staged messages: destination-side writes in parallel
+// (stage B), interconnect statistics serially (stage C). It runs outside
+// any ForEachVault section, before EndStep, so the DRAM and link activity
+// lands in the step that performed the sends.
+func (x *exchange) flush() error {
 	e := x.e
 	nv := len(x.dests)
 
@@ -275,7 +269,7 @@ func (x *Exchange) Flush() error {
 // per-arrival loop, including the partial-application semantics on
 // overflow (writes preceding the overflowing arrival land; the error
 // matches the one the scalar loop would have returned for that arrival).
-func (x *Exchange) applyPermutableRun(d int, arr []arrival) error {
+func (x *exchange) applyPermutableRun(d int, arr []arrival) error {
 	dst := x.dests[d]
 	apply := len(arr)
 	var fullErr error

@@ -56,7 +56,7 @@ func TestShuffleBeginReservesExactHostStorage(t *testing.T) {
 	if r1.Tuples[0] != (tuple.Tuple{Key: 7, Val: 7}) {
 		t.Fatalf("destination 0 spilled into destination 1: %+v", r1.Tuples[0])
 	}
-	e.ShuffleEnd(dests)
+	e.shuffleEnd(dests)
 
 	// Re-arm with fewer tuples: destinations that have the room keep it.
 	for _, r := range dests {
@@ -79,7 +79,7 @@ func TestShuffleBeginReservesExactHostStorage(t *testing.T) {
 
 // TestExchangeStagesAtAnnouncedCounts checks that every staging list
 // starts with exactly the room its histogram entry announced, so an
-// honest exchange never grows one, and that the conventional Flush lands
+// honest exchange never grows one, and that the conventional flush lands
 // every tuple at its slot.
 func TestExchangeStagesAtAnnouncedCounts(t *testing.T) {
 	for _, perm := range []bool{false, true} {
@@ -104,10 +104,10 @@ func TestExchangeStagesAtAnnouncedCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.BeginStep(StepProfile{Name: "dist", DepIPC: 1, InstPerAccess: 4})
-		x := e.NewExchange(dests, perSource)
+		x := e.newExchange(dests, perSource)
 		for s, ts := range inputs {
 			for _, tp := range ts {
-				if err := x.Outbox(s).Send(int(tp.Key)%nv, tp); err != nil {
+				if err := x.boxes[s].Send(int(tp.Key)%nv, tp); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -119,11 +119,11 @@ func TestExchangeStagesAtAnnouncedCounts(t *testing.T) {
 				}
 			}
 		}
-		if err := x.Flush(); err != nil {
+		if err := x.flush(); err != nil {
 			t.Fatal(err)
 		}
 		e.EndStep()
-		e.ShuffleEnd(dests)
+		e.shuffleEnd(dests)
 		var all []tuple.Tuple
 		for _, ts := range inputs {
 			all = append(all, ts...)
@@ -239,7 +239,7 @@ func (r *recordingTracer) Access(unit int, kind AccessKind, addr int64, size int
 }
 
 // TestFlushMatchesComparisonSort is a randomized differential of
-// Exchange.Flush against the arrival order it must reproduce: every
+// the exchange flush against the arrival order it must reproduce: every
 // destination applies its staged tuples sorted by (per-source sequence,
 // source). Sources send uneven amounts, some nothing, with a bias towards
 // destination 0. Conventional destinations place each source's tuples in
@@ -289,12 +289,12 @@ func TestFlushMatchesComparisonSort(t *testing.T) {
 					t.Fatal(err)
 				}
 				e.BeginStep(StepProfile{Name: "dist", DepIPC: 1, InstPerAccess: 4})
-				x := e.NewExchange(dests, perSource)
+				x := e.newExchange(dests, perSource)
 				want := make([][]msg, nv)
 				for s, ds := range sends {
 					for i, d := range ds {
 						tp := tuple.Tuple{Key: tuple.Key(s<<20 | i), Val: tuple.Value(rng.Uint64())}
-						if err := x.Outbox(s).Send(d, tp); err != nil {
+						if err := x.boxes[s].Send(d, tp); err != nil {
 							t.Fatal(err)
 						}
 						want[d] = append(want[d], msg{seq: i, src: s, t: tp})
@@ -304,11 +304,11 @@ func TestFlushMatchesComparisonSort(t *testing.T) {
 				if traced {
 					e.SetTracer(tr)
 				}
-				if err := x.Flush(); err != nil {
+				if err := x.flush(); err != nil {
 					t.Fatal(err)
 				}
 				e.EndStep()
-				e.ShuffleEnd(dests)
+				e.shuffleEnd(dests)
 
 				var events []traceEvent
 				for d, ms := range want {

@@ -24,10 +24,6 @@ type memPath interface {
 	// route charges the interconnect between the unit and a vault and
 	// returns the one-way latency.
 	route(u *Unit, dst *hmc.Vault, size int) float64
-	// demandShuffle reports whether partitioning-phase sends go through
-	// the demand path (write-allocate caches) instead of direct remote
-	// vault writes.
-	demandShuffle() bool
 }
 
 // memPathOf picks the memory path an architecture's units access through.
@@ -77,9 +73,6 @@ func (cpuPath) route(u *Unit, dst *hmc.Vault, size int) float64 {
 	return lat + e.Sys.Cubes[dst.Cube].Mesh.Transfer(0, dst.Tile, size)
 }
 
-// CPU stores go through the cache hierarchy.
-func (cpuPath) demandShuffle() bool { return true }
-
 // --- cachedVaultPath: L1 → home/remote vault ----------------------------
 
 // cachedVaultPath is the cache-backed near-memory core: accesses walk
@@ -108,8 +101,6 @@ func (cachedVaultPath) runnable(u *Unit, addr int64, stride, count int) bool {
 func (cachedVaultPath) route(u *Unit, dst *hmc.Vault, size int) float64 {
 	return u.vaultRoute(dst, size)
 }
-
-func (cachedVaultPath) demandShuffle() bool { return false }
 
 // --- streamPath: cacheless direct vault access --------------------------
 
@@ -149,8 +140,6 @@ func (streamPath) runnable(u *Unit, addr int64, stride, count int) bool {
 func (streamPath) route(u *Unit, dst *hmc.Vault, size int) float64 {
 	return u.vaultRoute(dst, size)
 }
-
-func (streamPath) demandShuffle() bool { return false }
 
 // --- shared walk helpers ------------------------------------------------
 

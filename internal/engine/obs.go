@@ -222,11 +222,11 @@ func (e *Engine) EndPhase() {
 // observability is disabled).
 func (e *Engine) Phases() []PhaseTiming { return e.phases }
 
-// exchangeRecord summarizes one Exchange.Flush for the span tree and the
-// exchange_* counters. Recorded serially at the end of Flush, so it is
+// exchangeRecord summarizes one exchange flush for the span tree and the
+// exchange_* counters. Recorded serially at the end of the flush, so it is
 // deterministic at every parallelism level.
 type exchangeRecord struct {
-	step       int // index the enclosing step will get (== len(steps) at Flush)
+	step       int // index the enclosing step will get (== len(steps) at the flush)
 	tuples     uint64
 	messages   uint64
 	bytes      uint64
@@ -235,7 +235,7 @@ type exchangeRecord struct {
 	nearMisses uint64 // destinations ≥90% full after the flush
 }
 
-func (x *Exchange) recordObs(msgSize int) {
+func (x *exchange) recordObs(msgSize int) {
 	e := x.e
 	if e.cfg.Obs == nil {
 		return

@@ -24,9 +24,9 @@ import (
 // its unit (instruction/stall accounting, L1, TLBs, stream buffers, object
 // buffer), its vault (DRAM device, row buffers, bump allocator), and its
 // own slots of caller-provided slices. Cross-vault interactions (the
-// shuffle) go through Exchange (exchange.go), which stages messages and
-// applies them in a data-determined order. All reductions (EndStep,
-// Energy, stat merges) remain serial, in fixed vault-ID order.
+// shuffle) go through Distribute (shuffle.go, exchange.go), which stages
+// messages and applies them in a data-determined order. All reductions
+// (EndStep, Energy, stat merges) remain serial, in fixed vault-ID order.
 
 // Workers returns the size of the worker pool a parallel section uses.
 // The CPU's cores share simulated state (the LLC and chip mesh), so it

@@ -141,7 +141,7 @@ type exchangeOutcome struct {
 }
 
 // runExchange performs a full shuffle round (histogram → ShuffleBegin →
-// Exchange → ShuffleEnd) on a fresh engine with a skewed synthetic
+// Distribute) on a fresh engine with a skewed synthetic
 // dataset and returns the complete observable outcome.
 func runExchange(t *testing.T, cfg Config) exchangeOutcome {
 	t.Helper()
@@ -182,10 +182,7 @@ func runExchange(t *testing.T, cfg Config) exchangeOutcome {
 		t.Fatal(err)
 	}
 
-	e.BeginStep(StepProfile{Name: "dist", DepIPC: 1, InstPerAccess: 4})
-	x := e.NewExchange(dests, perSource)
-	if err := e.ForEachVault(func(v int, u *Unit) error {
-		ob := x.Outbox(v)
+	if _, err := e.Distribute(dests, perSource, StepProfile{Name: "dist", DepIPC: 1, InstPerAccess: 4}, func(v int, u *Unit, ob *Outbox) error {
 		for i := 0; i < inputs[v].Len(); i++ {
 			tp := u.LoadTuple(inputs[v], i)
 			u.Charge(6)
@@ -197,11 +194,6 @@ func runExchange(t *testing.T, cfg Config) exchangeOutcome {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := x.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	e.EndStep()
-	e.ShuffleEnd(dests)
 
 	out := exchangeOutcome{
 		totalNs: e.TotalNs(),

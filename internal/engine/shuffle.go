@@ -85,10 +85,33 @@ func (e *Engine) ShuffleBegin(dests []*Region, perSource [][]int64) error {
 	return nil
 }
 
-// ShuffleEnd performs the shuffle_end protocol: drains partial object
+// Distribute runs a shuffle's data distribution as one step and then
+// ends the shuffle. dests and perSource are those given to ShuffleBegin.
+// The step opens with profile prof; send runs once per source vault, in
+// parallel, and stages that source's tuples through its Outbox; the
+// staged exchange then applies them at their destinations (exchange.go),
+// the step closes, and shuffle_end completes the protocol.
+func (e *Engine) Distribute(dests []*Region, perSource [][]int64, prof StepProfile,
+	send func(v int, u *Unit, ob *Outbox) error) (StepTiming, error) {
+	e.BeginStep(prof)
+	x := e.newExchange(dests, perSource)
+	if err := e.ForEachVault(func(v int, u *Unit) error {
+		return send(v, u, x.boxes[v])
+	}); err != nil {
+		return StepTiming{}, err
+	}
+	if err := x.flush(); err != nil {
+		return StepTiming{}, err
+	}
+	st := e.EndStep()
+	e.shuffleEnd(dests)
+	return st, nil
+}
+
+// shuffleEnd performs the shuffle_end protocol: drains partial object
 // buffers, waits for every vault controller's completion MSI (modeled as
 // one barrier), and disarms permutability.
-func (e *Engine) ShuffleEnd(dests []*Region) {
+func (e *Engine) shuffleEnd(dests []*Region) {
 	for _, u := range e.units {
 		if u.ObjBuf != nil {
 			u.ObjBuf.Drain()

@@ -254,54 +254,3 @@ func ensureLen(r *Region, n int) {
 	r.Tuples = r.Tuples[:n]
 	clear(r.Tuples[old:])
 }
-
-// --- shuffle (partitioning-phase data distribution) -----------------------
-
-// SendAt ships a tuple to an exact slot of a (typically remote) region —
-// the conventional, address-preserving distribution used by the CPU, the
-// NMP baseline and Mondrian-noperm. The destination vault sees writes in
-// arrival order, which interleaving across sources turns into random row
-// traffic (paper Fig. 2).
-func (u *Unit) SendAt(dst *Region, idx int, t tuple.Tuple) {
-	if idx < 0 || idx >= dst.cap {
-		panic(fmt.Sprintf("engine: send index %d outside capacity %d", idx, dst.cap))
-	}
-	ensureLen(dst, idx+1)
-	dst.Tuples[idx] = t
-	if u.path.demandShuffle() {
-		// Host-core stores go through the cache hierarchy.
-		u.WriteBytes(dst.addrOf(idx), tuple.Size)
-		return
-	}
-	addr := dst.addrOf(idx)
-	u.trace(TraceShuffle, addr, tuple.Size, true)
-	u.routeLatency(dst.Vault, tuple.Size)
-	dst.Vault.Write(addr, tuple.Size)
-	dst.Vault.RecordInbound(tuple.Size)
-}
-
-// SendPermutable ships a tuple as a permutable store: the message drains
-// through the unit's object buffer, crosses the network, and the receiving
-// vault controller appends it sequentially into its armed permutable
-// region. The tuple's final position is chosen by hardware.
-func (u *Unit) SendPermutable(dst *Region, t tuple.Tuple) error {
-	if u.ObjBuf == nil {
-		return fmt.Errorf("engine: unit %d has no object buffer (permutability disabled)", u.ID)
-	}
-	if len(dst.Tuples) >= dst.cap {
-		return fmt.Errorf("%w: region in vault %d full", hmc.ErrRegionOverflow, dst.Vault.ID)
-	}
-	// The object buffer drains one object-sized message per completed
-	// object (§5.3); only drained messages cross the network.
-	for flushes := u.ObjBuf.Push(tuple.Size); flushes > 0; flushes-- {
-		u.routeLatency(dst.Vault, u.ObjBuf.ObjectSize())
-	}
-	target := dst.addrOf(len(dst.Tuples)) // any in-region address; hardware re-places
-	placed, _, err := dst.Vault.PermutableWrite(target, tuple.Size)
-	if err != nil {
-		return err
-	}
-	u.trace(TracePermuted, placed, tuple.Size, true)
-	dst.Tuples = append(dst.Tuples, t) // arrival order IS the layout
-	return nil
-}

@@ -39,9 +39,6 @@ func NewObjectBuffer(objectSize int) (*ObjectBuffer, error) {
 	return &ObjectBuffer{objectSize: objectSize}, nil
 }
 
-// ObjectSize returns the configured granularity.
-func (b *ObjectBuffer) ObjectSize() int { return b.objectSize }
-
 // Push adds n bytes of pending store data and returns how many complete
 // object-sized messages drained to the vault router as a result.
 func (b *ObjectBuffer) Push(n int) int {

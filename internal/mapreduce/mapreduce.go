@@ -9,7 +9,7 @@
 // Jobs run functionally: mappers and reducers are real Go functions over
 // tuples, and results are verified against an in-memory reference
 // executor. Timing and energy come from the same engine models as the
-// basic operators; the shuffle reuses the engine's permutable-store path
+// basic operators; the shuffle is the operators' key shuffle, permutable
 // when the system supports it.
 package mapreduce
 
@@ -18,6 +18,7 @@ import (
 	"sort"
 
 	"github.com/ecocloud-go/mondrian/internal/engine"
+	"github.com/ecocloud-go/mondrian/internal/operators"
 	"github.com/ecocloud-go/mondrian/internal/tuple"
 )
 
@@ -93,6 +94,9 @@ func Run(e *engine.Engine, job Job, inputs []*engine.Region) (*Result, error) {
 	if job.Map == nil || job.Reduce == nil {
 		return nil, fmt.Errorf("mapreduce: job %q needs Map and Reduce", job.Name)
 	}
+	if e.Config().Arch == engine.CPU {
+		return nil, fmt.Errorf("mapreduce: job %q needs vault-resident units, not host cores", job.Name)
+	}
 	if len(inputs) != e.NumVaults() {
 		return nil, fmt.Errorf("mapreduce: %d input regions for %d vaults", len(inputs), e.NumVaults())
 	}
@@ -156,7 +160,7 @@ func Run(e *engine.Engine, job Job, inputs []*engine.Region) (*Result, error) {
 
 	// --- shuffle phase: permutable redistribution by key hash ---------
 	t1 := e.TotalNs()
-	buckets, err := shuffle(e, staging)
+	buckets, err := operators.KeyShuffle(e, "mr-shuffle", staging)
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +170,7 @@ func Run(e *engine.Engine, job Job, inputs []*engine.Region) (*Result, error) {
 	t2 := e.TotalNs()
 	outs := make([]*engine.Region, nv)
 	for v := 0; v < nv; v++ {
-		r, err := e.AllocOut(v, maxInt(buckets[v].Len(), 1))
+		r, err := e.AllocOut(v, max(buckets[v].Len(), 1))
 		if err != nil {
 			return nil, err
 		}
@@ -231,70 +235,6 @@ func Run(e *engine.Engine, job Job, inputs []*engine.Region) (*Result, error) {
 	}
 	res.ReduceNs = e.TotalNs() - t2
 	return res, nil
-}
-
-// shuffle redistributes staged intermediate tuples to their key-hash
-// vault, through the permutable path when the system supports it. It is
-// the MapReduce twin of the operators' partitioning distribution step.
-func shuffle(e *engine.Engine, staging []*engine.Region) ([]*engine.Region, error) {
-	nv := e.NumVaults()
-	dest := func(k tuple.Key) int { return int(uint64(k) % uint64(nv)) }
-
-	// Histogram exchange (sizes the destination buffers).
-	perSource := make([][]int64, nv)
-	maxIn := 0
-	inbound := make([]int64, nv)
-	for v := 0; v < nv; v++ {
-		perSource[v] = make([]int64, nv)
-		for _, t := range staging[v].Tuples {
-			perSource[v][dest(t.Key)]++
-		}
-		for d, n := range perSource[v] {
-			inbound[d] += n
-		}
-	}
-	for _, n := range inbound {
-		if int(n) > maxIn {
-			maxIn = int(n)
-		}
-	}
-	dests, err := e.MallocPermutable(maxIn + 64)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.ShuffleBegin(dests, perSource); err != nil {
-		return nil, err
-	}
-
-	e.BeginStep(engine.StepProfile{Name: "mr-shuffle", DepIPC: 1.0, InstPerAccess: 4,
-		StreamFed: e.StreamFed()})
-	x := e.NewExchange(dests, perSource)
-	if err := e.ForEachVault(func(v int, u *engine.Unit) error {
-		ob := x.Outbox(v)
-		for i := 0; i < staging[v].Len(); i++ {
-			t := u.LoadTuple(staging[v], i)
-			u.Charge(6)
-			if err := ob.Send(dest(t.Key), t); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := x.Flush(); err != nil {
-		return nil, err
-	}
-	e.EndStep()
-	e.ShuffleEnd(dests)
-	return dests, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // RefRun executes the job in plain Go for verification.

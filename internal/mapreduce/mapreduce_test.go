@@ -16,13 +16,21 @@ import (
 
 func testEngine(t *testing.T, arch engine.Arch, perm bool) *engine.Engine {
 	t.Helper()
+	return testEngineAt(t, arch, perm, 0)
+}
+
+// testEngineAt builds the test system with the given host worker count
+// (0 = GOMAXPROCS).
+func testEngineAt(t *testing.T, arch engine.Arch, perm bool, parallelism int) *engine.Engine {
+	t.Helper()
 	g := dram.HMCGeometry()
 	g.CapacityBytes = 8 << 20
 	cfg := engine.Config{
 		Cubes: 2, VaultsPer: 4,
 		Geometry: g, Timing: dram.HMCTiming(),
 		ObjectSize: tuple.Size, BarrierNs: 1000,
-		Topology: noc.FullyConnected,
+		Topology:    noc.FullyConnected,
+		Parallelism: parallelism,
 	}
 	switch arch {
 	case engine.CPU:
@@ -204,6 +212,16 @@ func TestJobValidation(t *testing.T) {
 	}
 	if _, err := Run(e, wordCount(), nil); err == nil {
 		t.Fatal("wrong input shape accepted")
+	}
+}
+
+// MapReduce runs on the vault units; a host-core system must be refused
+// with an error, not a panic.
+func TestRunRejectsHostCores(t *testing.T) {
+	rel := workload.Uniform("in", workload.Config{Seed: 9, Tuples: 200, KeySpace: 50})
+	e := testEngine(t, engine.CPU, false)
+	if _, err := Run(e, wordCount(), place(t, e, rel)); err == nil {
+		t.Fatal("host-core engine accepted")
 	}
 }
 

@@ -194,7 +194,7 @@ func sortBuckets(e *engine.Engine, cm CostModel, buckets []*engine.Region) ([]*e
 	n := len(buckets)
 	scratch := make([]*engine.Region, n)
 	for i, b := range buckets {
-		s, err := e.AllocOut(b.Vault.ID, maxInt(b.Len(), 1))
+		s, err := e.AllocOut(b.Vault.ID, max(b.Len(), 1))
 		if err != nil {
 			return nil, err
 		}
@@ -227,7 +227,7 @@ func sortBuckets(e *engine.Engine, cm CostModel, buckets []*engine.Region) ([]*e
 	for pass := 0; pass < maxPasses; pass++ {
 		e.BeginStep(mergeProfile(e, cm))
 		if err := e.ForEachTask(n, func(i int) error {
-			if runLen[i] >= maxInt(src[i].Len(), 1) {
+			if runLen[i] >= max(src[i].Len(), 1) {
 				return nil // this bucket is already sorted
 			}
 			dst[i].Reset()
@@ -243,11 +243,4 @@ func sortBuckets(e *engine.Engine, cm CostModel, buckets []*engine.Region) ([]*e
 		e.EndStep()
 	}
 	return src, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -145,7 +145,7 @@ func FuzzRadixRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scratch, err := e.AllocOut(0, maxInt(len(ts), 1))
+		scratch, err := e.AllocOut(0, max(len(ts), 1))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -117,12 +117,12 @@ func groupByHashProbe(e *engine.Engine, cfg Config, buckets []*engine.Region, re
 		for _, b := range group {
 			total += buckets[b].Len()
 		}
-		t, err := newAggTable(e, buckets[group[0]].Vault.ID, maxInt(total, 1))
+		t, err := newAggTable(e, buckets[group[0]].Vault.ID, max(total, 1))
 		if err != nil {
 			return err
 		}
 		tables[g] = t
-		out, err := e.AllocOut(buckets[group[0]].Vault.ID, maxInt(total, 1)*int(numAggs))
+		out, err := e.AllocOut(buckets[group[0]].Vault.ID, max(total, 1)*int(numAggs))
 		if err != nil {
 			return err
 		}
@@ -175,7 +175,7 @@ func groupByHashProbe(e *engine.Engine, cfg Config, buckets []*engine.Region, re
 func groupBySortProbe(e *engine.Engine, cm CostModel, buckets []*engine.Region, res *GroupByResult) error {
 	outs := make([]*engine.Region, len(buckets))
 	for b, bucket := range buckets {
-		r, err := e.AllocOut(bucket.Vault.ID, maxInt(bucket.Len(), 1)*int(numAggs))
+		r, err := e.AllocOut(bucket.Vault.ID, max(bucket.Len(), 1)*int(numAggs))
 		if err != nil {
 			return err
 		}

@@ -100,12 +100,12 @@ func joinHashProbe(e *engine.Engine, cfg Config, rBuckets, sBuckets []*engine.Re
 			rLen += rBuckets[b].Len()
 			sLen += sBuckets[b].Len()
 		}
-		ht, err := newHashTable(e, rBuckets[group[0]].Vault.ID, maxInt(rLen, 1))
+		ht, err := newHashTable(e, rBuckets[group[0]].Vault.ID, max(rLen, 1))
 		if err != nil {
 			return err
 		}
 		tables[g] = ht
-		out, err := e.AllocOut(sBuckets[group[0]].Vault.ID, maxInt(sLen, 1))
+		out, err := e.AllocOut(sBuckets[group[0]].Vault.ID, max(sLen, 1))
 		if err != nil {
 			return err
 		}
@@ -165,7 +165,7 @@ func joinHashProbe(e *engine.Engine, cfg Config, rBuckets, sBuckets []*engine.Re
 func joinSortMergeProbe(e *engine.Engine, cm CostModel, rBuckets, sBuckets []*engine.Region, res *JoinResult) error {
 	outs := make([]*engine.Region, len(sBuckets))
 	for b, bucket := range sBuckets {
-		r, err := e.AllocOut(bucket.Vault.ID, maxInt(bucket.Len(), 1))
+		r, err := e.AllocOut(bucket.Vault.ID, max(bucket.Len(), 1))
 		if err != nil {
 			return err
 		}

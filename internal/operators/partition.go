@@ -2,6 +2,7 @@ package operators
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/ecocloud-go/mondrian/internal/engine"
 	"github.com/ecocloud-go/mondrian/internal/hmc"
@@ -97,8 +98,8 @@ var ErrPartitionOverflow = hmc.ErrRegionOverflow
 // PartitionPhase redistributes the input tuples into buckets. Inputs are
 // one region per vault (the initial random distribution of the dataset);
 // the phase performs the histogram build, the histogram exchange
-// (ShuffleBegin), the interleaved data distribution of Fig. 2, and the
-// completion barrier (ShuffleEnd).
+// (ShuffleBegin), and the interleaved data distribution of Fig. 2 with
+// its completion barrier (Distribute).
 func PartitionPhase(e *engine.Engine, cfg Config, inputs []*engine.Region, part Partitioner) (*PartitionResult, error) {
 	if len(inputs) != e.NumVaults() {
 		return nil, fmt.Errorf("operators: %d input regions for %d vaults", len(inputs), e.NumVaults())
@@ -238,26 +239,21 @@ func nmpPartition(e *engine.Engine, cfg Config, inputs []*engine.Region, part Pa
 	t1 := e.TotalNs()
 
 	// Step 2: data distribution. Each source streams its partition and
-	// stages tuples into the Exchange; destinations apply the staged
-	// messages in the serial engine's round-robin arrival interleave
-	// (Fig. 2) — see engine.Exchange. Conventional write offsets (prefix
-	// sums over the exchanged histograms) are computed by the Exchange.
+	// stages tuples into its Outbox; destinations apply the staged
+	// messages in the sources' round-robin arrival interleave (Fig. 2),
+	// and Distribute ends the shuffle (see engine.Distribute).
 	insts, profile := distInsts(e, cm)
-
-	e.BeginStep(probeProfile(e, profile))
-	x := e.NewExchange(dests, perSource)
-	if err := e.ForEachVault(func(v int, u *engine.Unit) error {
+	st, err := e.Distribute(dests, perSource, probeProfile(e, profile), func(v int, u *engine.Unit, ob *engine.Outbox) error {
 		rs, err := u.OpenStreams(inputs[v])
 		if err != nil {
 			return err
 		}
-		ob := x.Outbox(v)
 		if u.Bulk() {
 			// The source side is a pure sequential read; staging a tuple
-			// into the Exchange is host-side work (the destination vault's
-			// DRAM traffic happens at Flush). One run read, then the
-			// per-tuple charges and sends in the same order as the
-			// reference loop.
+			// into the Outbox is host-side work (the destination vault's
+			// DRAM traffic happens when the exchange is applied). One run
+			// read, then the per-tuple charges and sends in the same order
+			// as the reference loop.
 			ts := rs[0].NextRun(inputs[v].Len())
 			for i := range ts {
 				u.Charge(insts)
@@ -277,16 +273,59 @@ func nmpPartition(e *engine.Engine, cfg Config, inputs []*engine.Region, part Pa
 				return err
 			}
 		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.Steps = append(res.Steps, st)
+	res.DistributeNs = e.TotalNs() - t1
+	return res, nil
+}
+
+// KeyShuffle sends every tuple of the per-vault staging regions to vault
+// key mod vaults and returns the destination regions: MapReduce's shuffle
+// and BSP's message exchange, the same permutable shuffle as the
+// partitioning phase (§4.1.2). The histograms are counted on the host;
+// every destination is provisioned for the largest inbound load, and the
+// distribution runs as one step named step.
+func KeyShuffle(e *engine.Engine, step string, staging []*engine.Region) ([]*engine.Region, error) {
+	nv := e.NumVaults()
+	if len(staging) != nv {
+		return nil, fmt.Errorf("operators: %d staging regions for %d vaults", len(staging), nv)
+	}
+	part := Partitioner{Buckets: nv}
+	perSource := make([][]int64, nv)
+	inbound := make([]int64, nv)
+	for v, r := range staging {
+		perSource[v] = make([]int64, nv)
+		for _, t := range r.Tuples {
+			perSource[v][part.Bucket(t.Key)]++
+		}
+		for d, n := range perSource[v] {
+			inbound[d] += n
+		}
+	}
+	dests, err := e.MallocPermutable(int(slices.Max(inbound)) + bucketSlack)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.ShuffleBegin(dests, perSource); err != nil {
+		return nil, err
+	}
+	prof := engine.StepProfile{Name: step, DepIPC: 1, InstPerAccess: 4, StreamFed: e.StreamFed()}
+	if _, err := e.Distribute(dests, perSource, prof, func(v int, u *engine.Unit, ob *engine.Outbox) error {
+		for i := 0; i < staging[v].Len(); i++ {
+			t := u.LoadTuple(staging[v], i)
+			u.Charge(6) // per-tuple shuffle cost
+			if err := ob.Send(part.Bucket(t.Key), t); err != nil {
+				return err
+			}
+		}
+		return nil
 	}); err != nil {
 		return nil, err
 	}
-	if err := x.Flush(); err != nil {
-		return nil, err
-	}
-	res.Steps = append(res.Steps, e.EndStep())
-	e.ShuffleEnd(dests)
-	res.DistributeNs = e.TotalNs() - t1
-	return res, nil
+	return dests, nil
 }
 
 // cpuPartition runs the phase on the CPU-centric system: cores stream
@@ -420,7 +459,7 @@ func cpuPartition(e *engine.Engine, cfg Config, inputs []*engine.Region, part Pa
 				t := u.LoadTuple(in, i)
 				b := part.Bucket(t.Key)
 				u.Charge(insts)
-				u.SendAt(buckets[b], int(offset[c][b]), t)
+				u.StoreTuple(buckets[b], int(offset[c][b]), t)
 				offset[c][b]++
 			}
 		}

@@ -116,7 +116,7 @@ func RadixSortBuckets(e *engine.Engine, cm CostModel, buckets []*engine.Region, 
 	// concurrent allocation.
 	scratches := make([]*engine.Region, len(buckets))
 	for i, b := range buckets {
-		s, err := e.AllocOut(b.Vault.ID, maxInt(b.Len(), 1))
+		s, err := e.AllocOut(b.Vault.ID, max(b.Len(), 1))
 		if err != nil {
 			return nil, err
 		}

@@ -39,7 +39,7 @@ func Scan(e *engine.Engine, cfg Config, inputs []*engine.Region, needle tuple.Ke
 	// partition. Capacity is bounded by the partition size.
 	outs := make([]*engine.Region, len(inputs))
 	for v, in := range inputs {
-		r, err := e.AllocOut(v, maxInt(in.Len(), 1))
+		r, err := e.AllocOut(v, max(in.Len(), 1))
 		if err != nil {
 			return nil, err
 		}

@@ -29,7 +29,7 @@ func Materialize(e *engine.Engine, outs []*engine.Region) ([]*engine.Region, err
 		for _, r := range byVault[v] {
 			total += r.Len()
 		}
-		dst, err := e.AllocOut(v, maxInt(total, 1))
+		dst, err := e.AllocOut(v, max(total, 1))
 		if err != nil {
 			return nil, err
 		}
@@ -68,11 +68,4 @@ func unitFor(e *engine.Engine, v int) *engine.Unit {
 		return e.Units()[v%len(e.Units())]
 	}
 	return e.UnitForVault(v)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
