@@ -59,11 +59,12 @@ fuzz:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzRunNoPanic -fuzztime=30s ./internal/simulate/
 
-# One-iteration smoke pass over every benchmark (CI keeps this fast).
-# Timing is not asserted here: perfbench (BENCHMARK.json) is the
+# One-iteration smoke pass over every benchmark in the module, the root
+# package's and the micro-benchmarks under internal/ alike (CI keeps this
+# fast). Timing is not asserted here: perfbench (BENCHMARK.json) is the
 # benchmark of record and bench-guard the regression gate.
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ .
+	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 
 # Re-record the benchmark baseline (run on the reference machine;
 # benchguard compares ns/op only on the same CPU model, and bytes/op and

@@ -44,14 +44,6 @@ type Stats struct {
 	PrefetchHits   uint64 // demand hits on prefetched-not-yet-used lines
 }
 
-// HitRate returns the demand hit rate.
-func (s Stats) HitRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Accesses)
-}
-
 // setState is one set's fill level. Lines are only ever invalidated
 // all at once (Reset, Flush), and a fill always takes the first invalid
 // way, so the valid lines of a set are exactly ways [0, n). gen stamps

@@ -89,12 +89,6 @@ func (m Model) MLP(instPerAccess float64) float64 {
 	return mlp
 }
 
-// SustainedRandomBWGBs reproduces the paper's first-order bandwidth bound
-// for random accesses: MLP × accessBytes / memory latency.
-func (m Model) SustainedRandomBWGBs(accessBytes int, instPerAccess, memLatencyNs float64) float64 {
-	return m.MLP(instPerAccess) * float64(accessBytes) / memLatencyNs
-}
-
 // Work summarizes one compute unit's share of an operator phase.
 type Work struct {
 	// Instructions retired (SIMD operations count as single instructions;

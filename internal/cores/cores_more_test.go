@@ -48,15 +48,6 @@ func TestSIMDLanesFloor(t *testing.T) {
 	}
 }
 
-func TestSustainedBandwidthScalesWithLatency(t *testing.T) {
-	m := CortexA57()
-	fast := m.SustainedRandomBWGBs(8, 6, 15)
-	slow := m.SustainedRandomBWGBs(8, 6, 60)
-	if math.Abs(fast/slow-4) > 1e-9 {
-		t.Fatalf("bandwidth should be inversely proportional to latency: %v vs %v", fast, slow)
-	}
-}
-
 func TestPhaseResultFields(t *testing.T) {
 	m := Krait400()
 	r := m.PhaseTime(Work{Instructions: 3000, DependencyIPC: 3, MemStallNs: 300, InstPerMemAccess: 10})

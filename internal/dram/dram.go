@@ -63,11 +63,6 @@ func HMCGeometry() Geometry {
 	return Geometry{RowBytes: 256, Banks: 8, CapacityBytes: 512 << 20, PeakBandwidthGBs: 8}
 }
 
-// RowsPerBank derives the number of rows each bank holds.
-func (g Geometry) RowsPerBank() int64 {
-	return g.CapacityBytes / int64(g.RowBytes*g.Banks)
-}
-
 // transferNs is the bus occupancy of moving size bytes at peak bandwidth.
 func (g Geometry) transferNs(size int) float64 {
 	return float64(size) / g.PeakBandwidthGBs // bytes / (GB/s) = ns

@@ -29,13 +29,6 @@ func TestHMCDefaults(t *testing.T) {
 	}
 }
 
-func TestRowsPerBank(t *testing.T) {
-	g := Geometry{RowBytes: 256, Banks: 8, CapacityBytes: 1 << 20, PeakBandwidthGBs: 8}
-	if got := g.RowsPerBank(); got != (1<<20)/(256*8) {
-		t.Fatalf("RowsPerBank = %d", got)
-	}
-}
-
 func TestColdMissThenHit(t *testing.T) {
 	d := testDevice()
 	lat1 := d.Access(0, 16, false)
@@ -269,11 +262,11 @@ func TestWindowCapacityForcesService(t *testing.T) {
 	if lat := w.Push(Request{Addr: 16, Size: 8}); lat == 0 {
 		t.Fatal("push into full window must service one request")
 	}
-	if w.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2", w.Pending())
+	if len(w.pending) != 2 {
+		t.Fatalf("pending = %d, want 2", len(w.pending))
 	}
 	w.Flush()
-	if w.Pending() != 0 {
+	if len(w.pending) != 0 {
 		t.Fatal("flush left pending requests")
 	}
 	if d.Stats().Accesses() != 3 {
@@ -317,7 +310,7 @@ func TestWindowConservesRequests(t *testing.T) {
 			w.Push(Request{Addr: r.Int63n(1<<18) / 8 * 8, Size: 8, Write: r.Intn(2) == 0})
 		}
 		w.Flush()
-		return d.Stats().Accesses() == uint64(n) && w.Pending() == 0
+		return d.Stats().Accesses() == uint64(n) && len(w.pending) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rng}); err != nil {
 		t.Fatal(err)

@@ -54,9 +54,6 @@ func (w *Window) Flush() float64 {
 	return total
 }
 
-// Pending returns the number of buffered requests.
-func (w *Window) Pending() int { return len(w.pending) }
-
 // serviceOne issues the first-ready request, falling back to the oldest.
 func (w *Window) serviceOne() float64 {
 	pick := 0

@@ -77,17 +77,6 @@ func (b *Breakdown) Add(o Breakdown) {
 	b.Network += o.Network
 }
 
-// Scale returns the breakdown with every component multiplied by f.
-func (b Breakdown) Scale(f float64) Breakdown {
-	return Breakdown{
-		DRAMDynamic: b.DRAMDynamic * f,
-		DRAMStatic:  b.DRAMStatic * f,
-		Cores:       b.Cores * f,
-		LLC:         b.LLC * f,
-		Network:     b.Network * f,
-	}
-}
-
 // Fractions returns the Fig. 8 category fractions in order
 // [DRAM dyn, DRAM static, cores (incl. LLC), SerDes+NOC]. A zero-total
 // breakdown yields all zeros.
@@ -121,19 +110,12 @@ func (p Params) DRAMStaticJ(cubes int, seconds float64) float64 {
 	return float64(cubes) * p.HMCBackgroundW * seconds
 }
 
-// CoreJ charges one core running busySeconds at peak power within a phase
-// of totalSeconds; the remainder is idle at IdleCoreFraction of peak.
-func (p Params) CoreJ(peakW, busySeconds, totalSeconds float64) float64 {
-	if busySeconds > totalSeconds {
-		busySeconds = totalSeconds
-	}
-	return peakW*busySeconds + p.IdleCoreFraction*peakW*(totalSeconds-busySeconds)
-}
-
-// CoreUtilJ is CoreJ with utilization-scaled busy power: the paper
-// estimates core power "based on the core's peak power and its utilization
-// statistics" (§6). utilization is achieved IPC over issue width; a fully
-// stalled core draws the idle fraction of peak, a saturated one full peak.
+// CoreUtilJ charges one core that is busy for busySeconds of a phase of
+// totalSeconds and idle, at IdleCoreFraction of peak, for the rest. Busy
+// power scales with utilization: the paper estimates core power "based on
+// the core's peak power and its utilization statistics" (§6). utilization
+// is achieved IPC over issue width; a fully stalled core draws the idle
+// fraction of peak, a saturated one full peak.
 func (p Params) CoreUtilJ(peakW, busySeconds, totalSeconds, utilization float64) float64 {
 	if utilization < 0 {
 		utilization = 0

@@ -63,23 +63,24 @@ func TestDRAMStaticJ(t *testing.T) {
 	}
 }
 
-func TestCoreJBusyIdleSplit(t *testing.T) {
+func TestCoreUtilJBusyIdleSplit(t *testing.T) {
 	p := DefaultParams()
-	full := p.CoreJ(2.0, 1.0, 1.0)
+	// At full utilization busy power is peak.
+	full := p.CoreUtilJ(2.0, 1.0, 1.0, 1)
 	if !almost(full, 2.0) {
 		t.Fatalf("fully busy core = %v, want 2.0", full)
 	}
-	idle := p.CoreJ(2.0, 0.0, 1.0)
+	idle := p.CoreUtilJ(2.0, 0.0, 1.0, 1)
 	if !almost(idle, 2.0*p.IdleCoreFraction) {
 		t.Fatalf("idle core = %v", idle)
 	}
-	half := p.CoreJ(2.0, 0.5, 1.0)
+	half := p.CoreUtilJ(2.0, 0.5, 1.0, 1)
 	if !(half > idle && half < full) {
 		t.Fatalf("half-busy core %v not between %v and %v", half, idle, full)
 	}
 	// Busy time is clamped to the phase duration.
-	if got := p.CoreJ(2.0, 5.0, 1.0); !almost(got, 2.0) {
-		t.Fatalf("clamped CoreJ = %v, want 2.0", got)
+	if got := p.CoreUtilJ(2.0, 5.0, 1.0, 1); !almost(got, 2.0) {
+		t.Fatalf("clamped CoreUtilJ = %v, want 2.0", got)
 	}
 }
 
@@ -111,7 +112,7 @@ func TestLLCAndNoC(t *testing.T) {
 	}
 }
 
-func TestBreakdownTotalAddScale(t *testing.T) {
+func TestBreakdownTotalAdd(t *testing.T) {
 	b := Breakdown{DRAMDynamic: 1, DRAMStatic: 2, Cores: 3, LLC: 4, Network: 5}
 	if b.Total() != 15 {
 		t.Fatalf("Total = %v, want 15", b.Total())
@@ -121,9 +122,6 @@ func TestBreakdownTotalAddScale(t *testing.T) {
 	acc.Add(b)
 	if acc.Total() != 30 {
 		t.Fatalf("accumulated total = %v, want 30", acc.Total())
-	}
-	if s := b.Scale(2); s.Total() != 30 || s.LLC != 8 {
-		t.Fatalf("Scale: %+v", s)
 	}
 }
 
@@ -162,7 +160,7 @@ func TestEnergyMonotoneProperty(t *testing.T) {
 		if base < 0 || more < base {
 			return false
 		}
-		c := p.CoreJ(1.0, float64(acts%1000)/1000, 1.0)
+		c := p.CoreUtilJ(1.0, float64(acts%1000)/1000, 1.0, 1)
 		return c >= 0 && c <= 1.0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rng}); err != nil {

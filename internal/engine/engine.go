@@ -90,11 +90,15 @@ type Config struct {
 	// mesh); there, 2 or more runs the shared-memory walk on a second
 	// goroutine during steps (llcstage.go).
 	Parallelism int
-	// NoBulk disables the batched run-based access fast path: operators
-	// fall back to their per-tuple reference loops and the run accessors
-	// degrade to per-element accesses. Simulated results are byte-identical
-	// either way (the differential tests assert it); only host wall-clock
-	// time changes. Intended for debugging and the differential suite.
+	// NoBulk disables the batched run-based access fast path: every run
+	// accessor (LoadRun, StoreRun, AppendRunLocal, ReadRunBytes,
+	// WriteRunBytes, ChargeAppendsLocal, StreamReader.NextRun) degrades to
+	// its per-element accesses, and the five operator loops that keep a
+	// per-tuple twin (Scan's two loops, groupBySortProbe,
+	// joinSortMergeProbe, mergePass; see Unit.Bulk) run it. Simulated
+	// results are byte-identical either way (the differential tests assert
+	// it); only host wall-clock time changes. Intended for debugging and
+	// the differential suite.
 	NoBulk bool
 	// Obs, when non-nil, enables the observability layer: phase tracking
 	// (BeginPhase/EndPhase), exchange summaries, and post-run metric
@@ -164,20 +168,12 @@ func (r *Region) Cap() int { return r.cap }
 // Len returns the region's current tuple count.
 func (r *Region) Len() int { return len(r.Tuples) }
 
-// EndAddr returns the first address past the region's capacity.
-func (r *Region) EndAddr() int64 { return r.Addr + int64(r.cap)*tuple.Size }
-
 // addrOf returns the address of tuple idx.
 func (r *Region) addrOf(idx int) int64 { return r.Addr + int64(idx)*tuple.Size }
 
-// View returns a read-only sub-region covering tuples [start, end) of r.
+// view returns a read-only sub-region covering tuples [start, end) of r.
 // Views share r's backing storage and address range; they exist so merge
-// passes can tie individual sorted runs to stream buffers.
-func (r *Region) View(start, end int) *Region {
-	v := r.view(start, end)
-	return &v
-}
-
+// passes can tie individual sorted runs to stream buffers (StreamGroup).
 func (r *Region) view(start, end int) Region {
 	if start < 0 || end > len(r.Tuples) || start > end {
 		panic(fmt.Sprintf("engine: view [%d,%d) of region with %d tuples", start, end, len(r.Tuples)))

@@ -15,7 +15,8 @@ func TestRegionViewAndReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := r.View(10, 20)
+	view := r.view(10, 20)
+	v := &view
 	if v.Len() != 10 || v.Cap() != 10 {
 		t.Fatalf("view len=%d cap=%d", v.Len(), v.Cap())
 	}
@@ -42,9 +43,9 @@ func TestRegionViewBounds(t *testing.T) {
 	e := mustEngine(t, mondrianConfig())
 	r, _ := e.Place(0, workload.Sequential("s", 10).Tuples)
 	for _, fn := range []func(){
-		func() { r.View(-1, 5) },
-		func() { r.View(0, 11) },
-		func() { r.View(7, 3) },
+		func() { r.view(-1, 5) },
+		func() { r.view(0, 11) },
+		func() { r.view(7, 3) },
 	} {
 		func() {
 			defer func() {

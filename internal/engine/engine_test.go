@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/ecocloud-go/mondrian/internal/cache"
@@ -231,8 +232,8 @@ func TestBarrierAccounting(t *testing.T) {
 	e := mustEngine(t, nmpConfig(false))
 	e.Barrier()
 	e.Barrier()
-	if e.Barriers() != 2 || e.TotalNs() != 2000 {
-		t.Fatalf("barriers=%d total=%v", e.Barriers(), e.TotalNs())
+	if e.barrierCnt != 2 || e.TotalNs() != 2000 {
+		t.Fatalf("barriers=%d total=%v", e.barrierCnt, e.TotalNs())
 	}
 }
 
@@ -531,5 +532,79 @@ func TestDistributeMultisetProperty(t *testing.T) {
 	}
 	if !tuple.SameMultiset(sent, got) {
 		t.Fatal("shuffle lost or duplicated tuples")
+	}
+}
+
+// TestNextRunNoBulkMatchesNexts: a StreamReader's NextRun(n) returns the
+// next n tuples and charges what n Next calls charge, with and without
+// NoBulk (which makes the n Next calls itself), on stream-buffer
+// (Mondrian) and cache-backed (NMP) units. Two readers interleave random
+// run lengths; the tuples, the recorded step, the DRAM counters, the
+// total time and the stream buffers' fill traffic must all agree.
+func TestNextRunNoBulkMatchesNexts(t *testing.T) {
+	for name, cfg := range map[string]Config{"mondrian": mondrianConfig(), "nmp": nmpConfig(false)} {
+		t.Run(name, func(t *testing.T) {
+			a := workload.Uniform("a", workload.Config{Seed: 5, Tuples: 3000}).Tuples
+			b := workload.Uniform("b", workload.Config{Seed: 6, Tuples: 1700}).Tuples
+			type outcome struct {
+				read  [][]tuple.Tuple
+				step  StepTiming
+				dram  dram.Stats
+				total float64
+				fill  uint64
+			}
+			run := func(noBulk, perElement bool) outcome {
+				c := cfg
+				c.NoBulk = noBulk
+				e := mustEngine(t, c)
+				ra, _ := e.Place(0, a)
+				rb, _ := e.Place(0, b)
+				u := e.UnitForVault(0)
+				e.BeginStep(StepProfile{Name: "runs", StreamFed: cfg.Arch == Mondrian})
+				readers, err := u.OpenStreams(ra, rb)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var o outcome
+				o.read = make([][]tuple.Tuple, len(readers))
+				rng := rand.New(rand.NewSource(17))
+				for !readers[0].Done() || !readers[1].Done() {
+					i := rng.Intn(2)
+					s := readers[i]
+					n := min(rng.Intn(70), len(s.r.Tuples)-s.pos)
+					if perElement {
+						for k := 0; k < n; k++ {
+							tp, _ := s.Next()
+							o.read[i] = append(o.read[i], tp)
+						}
+					} else {
+						o.read[i] = append(o.read[i], s.NextRun(n)...)
+					}
+				}
+				o.step = e.EndStep()
+				o.dram, o.total = e.DRAMStats(), e.TotalNs()
+				if u.Streams != nil {
+					o.fill = u.Streams.FillBytes
+				}
+				return o
+			}
+			want := run(false, true)
+			if cfg.Arch == Mondrian && want.fill == 0 {
+				t.Fatal("the readers did not stream through the stream buffers")
+			}
+			if !slices.Equal(want.read[0], a) || !slices.Equal(want.read[1], b) {
+				t.Fatal("Next did not return the regions' tuples in order")
+			}
+			for _, noBulk := range []bool{false, true} {
+				got := run(noBulk, false)
+				if !slices.Equal(got.read[0], a) || !slices.Equal(got.read[1], b) {
+					t.Fatalf("NoBulk=%v: NextRun did not return the regions' tuples in order", noBulk)
+				}
+				if got.step != want.step || got.dram != want.dram || got.total != want.total || got.fill != want.fill {
+					t.Fatalf("NoBulk=%v: NextRun charged step %+v, DRAM %+v, total %v, fill %d; Next calls %+v, %+v, %v, %d",
+						noBulk, got.step, got.dram, got.total, got.fill, want.step, want.dram, want.total, want.fill)
+				}
+			}
+		})
 	}
 }

@@ -193,7 +193,7 @@ func TestResetDropsStreamGroupViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(readers) != 2 || readers[1].Remaining() != 32 {
+	if len(readers) != 2 || readers[1].r.Len() != 32 {
 		t.Fatalf("group opened %d readers", len(readers))
 	}
 	e.Reset()

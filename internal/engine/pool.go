@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 )
@@ -26,7 +25,7 @@ type Pool struct {
 	perKey int
 
 	mu    sync.Mutex
-	idle  map[string][]*Engine
+	idle  map[Config][]*Engine
 	stats PoolStats
 }
 
@@ -46,17 +45,18 @@ func NewPool(perKey int) *Pool {
 	if perKey <= 0 {
 		perKey = runtime.GOMAXPROCS(0)
 	}
-	return &Pool{perKey: perKey, idle: make(map[string][]*Engine)}
+	return &Pool{perKey: perKey, idle: make(map[Config][]*Engine)}
 }
 
 // poolKey canonicalizes a configuration into the pool's map key: the
 // config with its one pointer field, Obs (a per-run binding), zeroed.
-// Every remaining Config field is a plain value struct, so %+v is a
-// complete, collision-free rendering.
-func poolKey(cfg Config) string {
-	flat := cfg
-	flat.Obs = nil
-	return fmt.Sprintf("%+v", flat)
+// Every remaining Config field is a comparable value, so the config
+// itself is the key. Building it allocates nothing: a formatted key went
+// through fmt's printer cache, which the garbage collector empties, so
+// the allocations of a run depended on when collections fell.
+func poolKey(cfg Config) Config {
+	cfg.Obs = nil
+	return cfg
 }
 
 // Acquire returns a pristine engine for cfg: a reset idle engine when one
@@ -106,15 +106,4 @@ func (p *Pool) Stats() PoolStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.stats
-}
-
-// Idle returns the total number of parked engines across all keys.
-func (p *Pool) Idle() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, l := range p.idle {
-		n += len(l)
-	}
-	return n
 }

@@ -1,7 +1,5 @@
 package engine
 
-import "github.com/ecocloud-go/mondrian/internal/obs"
-
 // Pooled-lifecycle support: Reset restores a constructed engine to its
 // just-built state so the expensive construction work — cache line arrays,
 // DRAM devices, NoC meshes, per-unit hardware — is reused across runs
@@ -88,10 +86,3 @@ func (e *Engine) Reset() {
 	e.exchanges = nil
 	e.skewStats = nil
 }
-
-// SetObs retargets the engine's observability registry for the next run
-// (nil disables phase tracking). Everything else about the configuration
-// is immutable for the engine's lifetime; the registry is the one per-run
-// binding, which is how the pool hands the same engine to callers with
-// different (or no) registries. Call only between runs.
-func (e *Engine) SetObs(reg *obs.Registry) { e.cfg.Obs = reg }

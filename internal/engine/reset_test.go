@@ -46,9 +46,9 @@ func TestResetRestoresPristineState(t *testing.T) {
 			}
 
 			e.Reset()
-			if e.TotalNs() != 0 || len(e.Steps()) != 0 || e.Barriers() != 0 {
+			if e.TotalNs() != 0 || len(e.Steps()) != 0 || e.barrierCnt != 0 {
 				t.Fatalf("reset left run accounting: total=%v steps=%d barriers=%d",
-					e.TotalNs(), len(e.Steps()), e.Barriers())
+					e.TotalNs(), len(e.Steps()), e.barrierCnt)
 			}
 			if ds := e.DRAMStats(); ds != (dram.Stats{}) {
 				t.Fatalf("reset left DRAM stats: %+v", ds)
@@ -129,6 +129,17 @@ func TestResetRetainsScratchCapacity(t *testing.T) {
 	}
 }
 
+// parked returns the total number of engines p holds idle across keys.
+func parked(p *Pool) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for _, l := range p.idle {
+		n += len(l)
+	}
+	return n
+}
+
 func TestPoolReuseAndKeying(t *testing.T) {
 	p := NewPool(2)
 	cfg := mondrianConfig()
@@ -139,8 +150,8 @@ func TestPoolReuseAndKeying(t *testing.T) {
 	}
 	workout(t, e1)
 	p.Release(e1)
-	if p.Idle() != 1 {
-		t.Fatalf("idle = %d, want 1", p.Idle())
+	if parked(p) != 1 {
+		t.Fatalf("idle = %d, want 1", parked(p))
 	}
 
 	e2, err := p.Acquire(cfg)
@@ -186,8 +197,8 @@ func TestPoolBoundDiscards(t *testing.T) {
 	for _, e := range es {
 		p.Release(e)
 	}
-	if p.Idle() != 2 {
-		t.Fatalf("idle = %d, want the per-key bound 2", p.Idle())
+	if parked(p) != 2 {
+		t.Fatalf("idle = %d, want the per-key bound 2", parked(p))
 	}
 	if st := p.Stats(); st.Discards != 1 {
 		t.Fatalf("stats = %+v, want 1 discard", st)
@@ -216,8 +227,34 @@ func TestPoolRebindsObsRegistry(t *testing.T) {
 	if e2.Config().Obs != reg {
 		t.Fatal("acquire did not rebind the observability registry")
 	}
-	e2.SetObs(nil)
-	if e2.Config().Obs != nil {
-		t.Fatal("SetObs(nil) did not clear the registry")
+}
+
+// TestPoolCycleAllocatesNothing: once an engine is parked, acquiring and
+// releasing it again allocates nothing, registry binding included. The
+// pool key is the configuration itself; a key formatted through fmt
+// allocated on every Acquire and Release, and more after each garbage
+// collection (fmt's printer cache), so a run's allocation count depended
+// on when collections fell.
+func TestPoolCycleAllocatesNothing(t *testing.T) {
+	p := NewPool(1)
+	cfg := mondrianConfig()
+	cfg.Obs = obs.NewRegistry()
+	e, err := p.Acquire(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Release(e)
+	allocs := testing.AllocsPerRun(20, func() {
+		e, err := p.Acquire(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Release(e)
+	})
+	if allocs != 0 {
+		t.Fatalf("a pooled Acquire/Release cycle allocates %.0f times, want 0", allocs)
+	}
+	if st := p.Stats(); st.Misses != 1 {
+		t.Fatalf("stats = %+v, want every cycle after the first served from the pool", st)
 	}
 }

@@ -188,9 +188,6 @@ func (e *Engine) Barrier() {
 	}
 }
 
-// Barriers returns how many barriers the run executed.
-func (e *Engine) Barriers() int { return e.barrierCnt }
-
 // Energy converts the run's accumulated activity into the paper's Fig. 8
 // breakdown using the Table 4 constants.
 func (e *Engine) Energy(p energy.Params) energy.Breakdown {

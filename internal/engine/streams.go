@@ -79,8 +79,8 @@ func (u *Unit) StreamGroup() *StreamGroup {
 	return g
 }
 
-// AddView adds tuples [start, end) of r as the group's next stream: the
-// region r.View(start, end) returns, without allocating it.
+// AddView adds tuples [start, end) of r as the group's next stream, a
+// view that shares r's storage and addresses.
 func (g *StreamGroup) AddView(r *Region, start, end int) {
 	g.views = append(g.views, r.view(start, end))
 }
@@ -144,7 +144,8 @@ func (s *StreamReader) Next() (tuple.Tuple, bool) {
 // them (a view into the region — callers must not mutate it). The charged
 // traffic is byte-identical to n Next calls: on stream-buffer units the
 // refill sequence is a deterministic function of the pop sequence, and on
-// cache-backed units the demand reads batch through ReadRunBytes.
+// cache-backed units the demand reads batch through ReadRunBytes. Under
+// NoBulk it makes the n Next calls.
 func (s *StreamReader) NextRun(n int) []tuple.Tuple {
 	if n <= 0 {
 		return nil
@@ -153,6 +154,12 @@ func (s *StreamReader) NextRun(n int) []tuple.Tuple {
 		panic(fmt.Sprintf("engine: stream run of %d past %d remaining", n, len(s.r.Tuples)-s.pos))
 	}
 	ts := s.r.Tuples[s.pos : s.pos+n]
+	if s.u.engine.cfg.NoBulk {
+		for i := 0; i < n; i++ {
+			s.Next()
+		}
+		return ts
+	}
 	if s.stream >= 0 {
 		if !s.u.Streams.PopRun(s.stream, tuple.Size, n) {
 			panic("engine: stream buffer out of sync with region")
@@ -174,9 +181,6 @@ func (s *StreamReader) Streamed() bool { return s.stream >= 0 }
 func (s *StreamReader) NextFills() bool {
 	return s.u.Streams.PopFills(s.stream, tuple.Size)
 }
-
-// Remaining returns how many tuples are left.
-func (s *StreamReader) Remaining() int { return len(s.r.Tuples) - s.pos }
 
 // Done reports whether the stream is exhausted.
 func (s *StreamReader) Done() bool { return s.pos >= len(s.r.Tuples) }

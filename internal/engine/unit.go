@@ -58,8 +58,11 @@ type Unit struct {
 }
 
 // Bulk reports whether the batched run-based fast path is enabled for
-// this unit's engine (see Config.NoBulk). Operators consult it to pick
-// between their run-based loops and the per-tuple reference loops.
+// this unit's engine (see Config.NoBulk). Run accessors expand themselves
+// under NoBulk, so only loops whose bulk form peeks ahead in the
+// functional data or batches appends consult it to pick their per-tuple
+// reference twin: Scan's two loops, groupBySortProbe, joinSortMergeProbe
+// and mergePass.
 func (u *Unit) Bulk() bool { return !u.engine.cfg.NoBulk }
 
 // Charge adds retired instructions to the unit's current step. The

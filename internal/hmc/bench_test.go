@@ -47,7 +47,7 @@ func BenchmarkStreamBufferPop(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sb := NewStreamBufferSet(v)
+	sb := NewStreamBufferSetN(v, NumStreamBuffers)
 	if err := sb.Configure([]Range{{base, base + streamTuples*16}}); err != nil {
 		b.Fatal(err)
 	}

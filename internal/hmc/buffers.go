@@ -53,9 +53,6 @@ func (b *ObjectBuffer) Push(n int) int {
 	return flushes
 }
 
-// Pending returns bytes buffered but not yet drained.
-func (b *ObjectBuffer) Pending() int { return b.pending }
-
 // Reset restores the buffer to its just-constructed state: pending data
 // dropped, counters zeroed. Part of the engine's pooled-lifecycle reset.
 func (b *ObjectBuffer) Reset() {
@@ -114,15 +111,10 @@ type StreamBufferSet struct {
 	_ [16]byte // pad to 64 B, as ObjectBuffer
 }
 
-// NewStreamBufferSet creates the buffer set for a compute unit co-located
-// with the given vault, with the architectural NumStreamBuffers buffers.
-func NewStreamBufferSet(v *Vault) *StreamBufferSet {
-	return NewStreamBufferSetN(v, NumStreamBuffers)
-}
-
-// NewStreamBufferSetN creates a buffer set with n stream buffers — the
+// NewStreamBufferSetN creates the buffer set for a compute unit
+// co-located with the given vault, with n stream buffers — the
 // sensitivity-sweep knob behind engine.Config.StreamBuffers. n <= 0
-// selects the architectural default.
+// selects the architectural NumStreamBuffers.
 func NewStreamBufferSetN(v *Vault, n int) *StreamBufferSet {
 	if n <= 0 {
 		n = NumStreamBuffers
@@ -247,9 +239,9 @@ func (s *StreamBufferSet) PopFills(i, n int) bool {
 	return st.filledUntil < st.end && st.filledUntil-(st.next+int64(n)) < StreamBufferBytes
 }
 
-// Remaining returns how many bytes stream i still holds (including data
+// remaining returns how many bytes stream i still holds (including data
 // not yet prefetched).
-func (s *StreamBufferSet) Remaining(i int) int64 {
+func (s *StreamBufferSet) remaining(i int) int64 {
 	st := &s.streams[i]
 	return st.end - st.next
 }

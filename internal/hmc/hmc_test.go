@@ -3,6 +3,7 @@ package hmc
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -199,14 +200,14 @@ func TestShuffleCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if v.ShuffleComplete() {
+		if v.shuffleComplete() {
 			t.Fatalf("complete after %d of 3 writes", i)
 		}
 		if _, _, err := v.PermutableWrite(base, 16); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !v.ShuffleComplete() {
+	if !v.shuffleComplete() {
 		t.Fatal("not complete after all writes")
 	}
 }
@@ -225,7 +226,7 @@ func TestRecordInboundCompletesWithoutPermutation(t *testing.T) {
 	v.RecordInbound(16)
 	v.Write(base+128, 16)
 	v.RecordInbound(16)
-	if !v.ShuffleComplete() {
+	if !v.shuffleComplete() {
 		t.Fatal("address-preserving shuffle did not complete")
 	}
 }
@@ -297,8 +298,8 @@ func TestObjectBuffer(t *testing.T) {
 	if got := b.Push(160); got != 2 {
 		t.Fatalf("large push flushed %d, want 2", got)
 	}
-	if b.Pending() != 32 {
-		t.Fatalf("pending = %d, want 32", b.Pending())
+	if b.pending != 32 {
+		t.Fatalf("pending = %d, want 32", b.pending)
 	}
 	if got := b.Drain(); got != 32 {
 		t.Fatalf("drain = %d, want 32", got)
@@ -321,7 +322,7 @@ func TestStreamBuffersSequentialConsumption(t *testing.T) {
 	s := testSystem()
 	v := s.Vault(0)
 	base, _ := v.Alloc(8192, 256)
-	sb := NewStreamBufferSet(v)
+	sb := NewStreamBufferSetN(v, NumStreamBuffers)
 	if err := sb.Configure([]Range{{base, base + 4096}, {base + 4096, base + 8192}}); err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +333,7 @@ func TestStreamBuffersSequentialConsumption(t *testing.T) {
 	}
 	for !sb.Done() {
 		for i := 0; i < 2; i++ {
-			if sb.Remaining(i) > 0 && !sb.Pop(i, 16) {
+			if sb.remaining(i) > 0 && !sb.Pop(i, 16) {
 				t.Fatalf("pop failed on stream %d", i)
 			}
 		}
@@ -349,7 +350,7 @@ func TestStreamBuffersSequentialConsumption(t *testing.T) {
 func TestStreamBuffersRejectTooMany(t *testing.T) {
 	s := testSystem()
 	v := s.Vault(0)
-	sb := NewStreamBufferSet(v)
+	sb := NewStreamBufferSetN(v, NumStreamBuffers)
 	ranges := make([]Range, NumStreamBuffers+1)
 	for i := range ranges {
 		ranges[i] = Range{v.Base, v.Base}
@@ -361,7 +362,7 @@ func TestStreamBuffersRejectTooMany(t *testing.T) {
 
 func TestStreamBuffersRejectRemote(t *testing.T) {
 	s := testSystem()
-	sb := NewStreamBufferSet(s.Vault(0))
+	sb := NewStreamBufferSetN(s.Vault(0), NumStreamBuffers)
 	remote := s.Vault(1).Base
 	if err := sb.Configure([]Range{{remote, remote + 64}}); err == nil {
 		t.Fatal("remote stream accepted")
@@ -372,7 +373,7 @@ func TestStreamBufferPopBounds(t *testing.T) {
 	s := testSystem()
 	v := s.Vault(0)
 	base, _ := v.Alloc(64, 64)
-	sb := NewStreamBufferSet(v)
+	sb := NewStreamBufferSetN(v, NumStreamBuffers)
 	if err := sb.Configure([]Range{{base, base + 64}}); err != nil {
 		t.Fatal(err)
 	}
@@ -405,27 +406,13 @@ func TestResetAllClearsState(t *testing.T) {
 	if v.DRAM.Stats().Accesses() != 0 || v.PermutedWrites != 0 || v.ShuffleActive() {
 		t.Fatal("ResetAll left vault state")
 	}
-	if s.MaxLinkBusyNs() != 0 {
-		t.Fatal("ResetAll left link state")
+	for _, l := range s.Net.Links() {
+		if l.Stats().BusyNs != 0 {
+			t.Fatal("ResetAll left link state")
+		}
 	}
 	if _, err := v.Alloc(16, 16); err != nil {
 		t.Fatal("allocator not reset")
-	}
-}
-
-func TestMaxBusyAccounting(t *testing.T) {
-	s := testSystem()
-	s.Vault(5).Read(s.Vault(5).Base, 256)
-	if s.MaxVaultBusyNs() <= 0 {
-		t.Fatal("vault busy not recorded")
-	}
-	s.Net.Transfer(0, 1, 512)
-	if s.MaxLinkBusyNs() <= 0 {
-		t.Fatal("link busy not recorded")
-	}
-	s.ResetTiming()
-	if s.MaxVaultBusyNs() != 0 || s.MaxLinkBusyNs() != 0 {
-		t.Fatal("ResetTiming left busy state")
 	}
 }
 
@@ -455,7 +442,7 @@ func TestPermutableSequentialProperty(t *testing.T) {
 				return false
 			}
 		}
-		return v.ShuffleComplete() && v.EndShuffle() == int64(n*16)
+		return v.shuffleComplete() && v.EndShuffle() == int64(n*16)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rng}); err != nil {
 		t.Fatal(err)
@@ -465,7 +452,7 @@ func TestPermutableSequentialProperty(t *testing.T) {
 func TestStreamBufferEmptyRange(t *testing.T) {
 	s := testSystem()
 	v := s.Vault(0)
-	sb := NewStreamBufferSet(v)
+	sb := NewStreamBufferSetN(v, NumStreamBuffers)
 	if err := sb.Configure([]Range{{v.Base, v.Base}}); err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +471,7 @@ func TestStreamBufferReconfigure(t *testing.T) {
 	s := testSystem()
 	v := s.Vault(0)
 	base, _ := v.Alloc(2048, 256)
-	sb := NewStreamBufferSet(v)
+	sb := NewStreamBufferSetN(v, NumStreamBuffers)
 	if err := sb.Configure([]Range{{base, base + 1024}}); err != nil {
 		t.Fatal(err)
 	}
@@ -493,8 +480,8 @@ func TestStreamBufferReconfigure(t *testing.T) {
 	if err := sb.Configure([]Range{{base + 1024, base + 2048}}); err != nil {
 		t.Fatal(err)
 	}
-	if sb.Remaining(0) != 1024 {
-		t.Fatalf("remaining = %d after reconfigure", sb.Remaining(0))
+	if sb.remaining(0) != 1024 {
+		t.Fatalf("remaining = %d after reconfigure", sb.remaining(0))
 	}
 }
 
@@ -505,7 +492,7 @@ func TestStreamBufferFillLead(t *testing.T) {
 	s := testSystem()
 	v := s.Vault(0)
 	base, _ := v.Alloc(1<<16, 256)
-	sb := NewStreamBufferSet(v)
+	sb := NewStreamBufferSetN(v, NumStreamBuffers)
 	if err := sb.Configure([]Range{{base, base + 1<<16}}); err != nil {
 		t.Fatal(err)
 	}
@@ -521,6 +508,65 @@ func TestStreamBufferFillLead(t *testing.T) {
 	sb.Pop(0, 240)
 	if sb.FillBytes != 768 {
 		t.Fatalf("fill after one granule = %d, want 768", sb.FillBytes)
+	}
+}
+
+// TestPopRunMatchesPops drives two identical buffer sets with random
+// streams, strides and run lengths: one retires each run with
+// PopRun(i, stride, n), the other with n Pop calls. Return value, stream
+// state, FillBytes and the vault's DRAM accounting must agree after every
+// run. A run that does not fit makes PopRun return false and consume
+// nothing, where the Pop loop would stop partway, so such runs are
+// skipped on the Pop side.
+func TestPopRunMatchesPops(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for trial := 0; trial < 40; trial++ {
+		ranges := make([]Range, 1+rng.Intn(NumStreamBuffers))
+		var off int64
+		for i := range ranges {
+			off += int64(rng.Intn(300))
+			n := int64(rng.Intn(4096))
+			ranges[i] = Range{off, off + n}
+			off += n
+		}
+		var sets [2]*StreamBufferSet
+		for k := range sets {
+			v := NewSystem(1, 4, noc.FullyConnected, testGeom(), dram.HMCTiming()).Vault(0)
+			rs := make([]Range, len(ranges))
+			for i, r := range ranges {
+				rs[i] = Range{v.Base + r.Start, v.Base + r.End}
+			}
+			sets[k] = NewStreamBufferSetN(v, NumStreamBuffers)
+			if err := sets[k].Configure(rs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run, ref := sets[0], sets[1]
+		for op := 0; op < 200; op++ {
+			i := rng.Intn(len(ranges))
+			stride := []int{1, 8, 16, 48, 64}[rng.Intn(5)]
+			n := rng.Intn(40)
+			fits := ref.streams[i].next+int64(stride*n) <= ref.streams[i].end
+			if got := run.PopRun(i, stride, n); got != fits {
+				t.Fatalf("trial %d op %d: PopRun(%d, %d, %d) = %v, want %v", trial, op, i, stride, n, got, fits)
+			}
+			for k := 0; fits && k < n; k++ {
+				if !ref.Pop(i, stride) {
+					t.Fatalf("trial %d op %d: pop %d of %d failed", trial, op, k, n)
+				}
+			}
+			if !slices.Equal(run.streams, ref.streams) {
+				t.Fatalf("trial %d op %d: streams %+v, Pop loop %+v", trial, op, run.streams, ref.streams)
+			}
+			if run.FillBytes != ref.FillBytes {
+				t.Fatalf("trial %d op %d: FillBytes %d, Pop loop %d", trial, op, run.FillBytes, ref.FillBytes)
+			}
+			a, b := run.vault.DRAM, ref.vault.DRAM
+			if a.Stats() != b.Stats() || a.BusyNs() != b.BusyNs() {
+				t.Fatalf("trial %d op %d: DRAM %+v busy %v, Pop loop %+v busy %v",
+					trial, op, a.Stats(), a.BusyNs(), b.Stats(), b.BusyNs())
+			}
+		}
 	}
 }
 

@@ -107,43 +107,6 @@ func (s *System) TotalDRAMStats() dram.Stats {
 	return total
 }
 
-// MaxVaultBusyNs returns the largest per-vault DRAM busy time — the memory
-// side's contribution to a barrier-synchronized phase's runtime.
-func (s *System) MaxVaultBusyNs() float64 {
-	var busy float64
-	for _, v := range s.vaults {
-		if b := v.DRAM.BusyNs(); b > busy {
-			busy = b
-		}
-	}
-	return busy
-}
-
-// MaxLinkBusyNs returns the largest SerDes link occupancy.
-func (s *System) MaxLinkBusyNs() float64 {
-	var busy float64
-	for _, l := range s.Net.Links() {
-		if b := l.Stats().BusyNs; b > busy {
-			busy = b
-		}
-	}
-	return busy
-}
-
-// ResetTiming clears busy accumulators and link/mesh stats between phases
-// while preserving row-buffer and allocation state.
-func (s *System) ResetTiming() {
-	for _, v := range s.vaults {
-		v.DRAM.ResetBusy()
-	}
-	for _, l := range s.Net.Links() {
-		l.ResetStats()
-	}
-	for _, c := range s.Cubes {
-		c.Mesh.ResetStats()
-	}
-}
-
 // ResetAll clears all statistics, busy times, allocations and row state.
 func (s *System) ResetAll() {
 	for _, v := range s.vaults {

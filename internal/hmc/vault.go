@@ -32,9 +32,6 @@ type PermRegion struct {
 	active        bool
 }
 
-// Written returns how many bytes have been appended so far.
-func (r *PermRegion) Written() int64 { return r.writtenBytes }
-
 // Vault couples one DRAM partition with its controller state.
 type Vault struct {
 	ID    int // global vault index
@@ -230,9 +227,9 @@ func (v *Vault) RecordInbound(size int) {
 	}
 }
 
-// ShuffleComplete reports whether all announced data has arrived — the
+// shuffleComplete reports whether all announced data has arrived — the
 // condition on which the controller raises its MSI to every NMP unit.
-func (v *Vault) ShuffleComplete() bool {
+func (v *Vault) shuffleComplete() bool {
 	return v.perm.active && v.perm.writtenBytes >= v.perm.expectedBytes
 }
 

@@ -98,13 +98,10 @@ func TestSerDesLatencyAndStats(t *testing.T) {
 }
 
 func TestStarRoutesThroughCPU(t *testing.T) {
+	if NewNetwork(Star, 4).Transfer(CPUNode, 2, 200) != 10 {
+		t.Fatal("CPU→cube should cross one link")
+	}
 	n := NewNetwork(Star, 4)
-	if n.HopCount(0, 1) != 2 {
-		t.Fatalf("star cube↔cube hops = %d, want 2", n.HopCount(0, 1))
-	}
-	if n.HopCount(CPUNode, 2) != 1 {
-		t.Fatal("CPU↔cube should be one hop")
-	}
 	lat := n.Transfer(0, 1, 200)
 	if lat != 20 { // two 10 ns link crossings
 		t.Fatalf("star transfer latency = %v, want 20", lat)
@@ -123,9 +120,6 @@ func TestStarRoutesThroughCPU(t *testing.T) {
 
 func TestFullyConnectedDirect(t *testing.T) {
 	n := NewNetwork(FullyConnected, 4)
-	if n.HopCount(0, 3) != 1 {
-		t.Fatal("fully-connected cubes should be one hop apart")
-	}
 	lat := n.Transfer(0, 3, 200)
 	if lat != 10 {
 		t.Fatalf("direct transfer latency = %v, want 10", lat)
@@ -160,9 +154,6 @@ func TestNetworkLocalAndCPUTransfers(t *testing.T) {
 	}
 	if n.Transfer(1, CPUNode, 200) != 10 {
 		t.Fatal("cube→CPU should cross one link")
-	}
-	if n.HopCount(2, 2) != 0 {
-		t.Fatal("self hop count should be 0")
 	}
 }
 

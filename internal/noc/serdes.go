@@ -98,6 +98,7 @@ type Network struct {
 
 	cpuTx, cpuRx []*SerDesLink   // CPU→cube i and cube i→CPU
 	cubeLinks    [][]*SerDesLink // cubeLinks[src][dst], src≠dst
+	links        []*SerDesLink   // every link, in Links order
 }
 
 // NewNetwork builds the SerDes network for the given topology.
@@ -123,26 +124,24 @@ func NewNetwork(topology Topology, cubes int) *Network {
 			}
 		}
 	}
+	n.links = append(n.links, n.cpuTx...)
+	n.links = append(n.links, n.cpuRx...)
+	for i, row := range n.cubeLinks {
+		for j, l := range row {
+			if i != j {
+				n.links = append(n.links, l)
+			}
+		}
+	}
 	return n
 }
 
 // Links returns every distinct link direction in the network (for energy
-// accounting and busy-time bounds).
-func (n *Network) Links() []*SerDesLink {
-	out := make([]*SerDesLink, 0, 2*len(n.cpuTx))
-	out = append(out, n.cpuTx...)
-	out = append(out, n.cpuRx...)
-	if n.Topology == FullyConnected {
-		for i := 0; i < n.Cubes; i++ {
-			for j := 0; j < n.Cubes; j++ {
-				if i != j {
-					out = append(out, n.cubeLinks[i][j])
-				}
-			}
-		}
-	}
-	return out
-}
+// accounting and busy-time bounds): the CPU→cube links, the cube→CPU
+// links, then the direct cube pairs of fully-connected topologies. The
+// slice is the network's own, built once, so the per-step callers
+// allocate nothing; callers must not modify it.
+func (n *Network) Links() []*SerDesLink { return n.links }
 
 // LinkNames returns a stable human-readable name for every link, aligned
 // index-for-index with Links(): cpu_tx_<cube> (CPU→cube), cpu_rx_<cube>
@@ -205,20 +204,6 @@ func (n *Network) RecordBulk(src, dst, size int, count uint64) {
 		// Star: cube → CPU → cube crosses two links.
 		n.cpuRx[n.check(src)].RecordBulk(size, count)
 		n.cpuTx[n.check(dst)].RecordBulk(size, count)
-	}
-}
-
-// HopCount returns how many SerDes links a transfer crosses (0 for local).
-func (n *Network) HopCount(src, dst int) int {
-	switch {
-	case src == dst:
-		return 0
-	case src == CPUNode || dst == CPUNode:
-		return 1
-	case n.Topology == FullyConnected:
-		return 1
-	default:
-		return 2
 	}
 }
 

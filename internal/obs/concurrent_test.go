@@ -45,7 +45,6 @@ func TestConcurrentRegistryHammer(t *testing.T) {
 					t.Errorf("WritePrometheus: %v", err)
 					return
 				}
-				_ = r.Names()
 			}
 		}()
 	}

@@ -32,7 +32,7 @@ type HostInfo struct {
 	GitRevision string `json:"git_revision,omitempty"`
 	// Parallelism is the resolved host worker setting (GOMAXPROCS when
 	// the run asked for 0); NoBulk and NoPool record whether the run used
-	// the per-tuple reference loops and bypassed the engine pool.
+	// the per-element reference path and bypassed the engine pool.
 	Parallelism int    `json:"parallelism"`
 	NoBulk      bool   `json:"no_bulk"`
 	NoPool      bool   `json:"no_pool"`

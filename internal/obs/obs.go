@@ -320,16 +320,6 @@ func (r *Registry) register(name string, m any) {
 	r.order = append(r.order, name)
 }
 
-// Names returns the registered metric names in sorted order.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.lock()
-	defer r.unlock()
-	return r.namesLocked()
-}
-
 func (r *Registry) namesLocked() []string {
 	names := append([]string(nil), r.order...)
 	sort.Strings(names)

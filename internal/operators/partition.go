@@ -176,25 +176,13 @@ func nmpPartition(e *engine.Engine, cfg Config, inputs []*engine.Region, part Pa
 		if err != nil {
 			return err
 		}
-		if u.Bulk() {
-			// Pure sequential read: the whole partition streams in as one
-			// run; counting is functional and the charges are the same
-			// constant, so batching preserves every accumulator exactly.
-			ts := readers[0].NextRun(inputs[v].Len())
-			for i := range ts {
-				perSource[v][part.Bucket(ts[i].Key)]++
-			}
-			u.ChargeRun(histInsts, len(ts))
-			return nil
+		// Counting is functional and every charge is the same constant, so
+		// the whole partition streams in as one run.
+		ts := readers[0].NextRun(inputs[v].Len())
+		for i := range ts {
+			perSource[v][part.Bucket(ts[i].Key)]++
 		}
-		for {
-			t, ok := readers[0].Next()
-			if !ok {
-				break
-			}
-			perSource[v][part.Bucket(t.Key)]++
-			u.Charge(histInsts)
-		}
+		u.ChargeRun(histInsts, len(ts))
 		return nil
 	}); err != nil {
 		return nil, err
@@ -248,31 +236,17 @@ func nmpPartition(e *engine.Engine, cfg Config, inputs []*engine.Region, part Pa
 		if err != nil {
 			return err
 		}
-		if u.Bulk() {
-			// The source side is a pure sequential read; staging a tuple
-			// into the Outbox is host-side work (the destination vault's
-			// DRAM traffic happens when the exchange is applied). One run
-			// read, then the per-tuple charges and sends in the same order
-			// as the reference loop.
-			ts := rs[0].NextRun(inputs[v].Len())
-			for i := range ts {
-				u.Charge(insts)
-				if err := ob.Send(part.Bucket(ts[i].Key), ts[i]); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		for {
-			t, ok := rs[0].Next()
-			if !ok {
-				return nil
-			}
+		// Staging a tuple into the Outbox is host-side work (the
+		// destination vault's DRAM traffic happens when the exchange is
+		// applied), so the source side is one sequential run read.
+		ts := rs[0].NextRun(inputs[v].Len())
+		for i := range ts {
 			u.Charge(insts)
-			if err := ob.Send(part.Bucket(t.Key), t); err != nil {
+			if err := ob.Send(part.Bucket(ts[i].Key), ts[i]); err != nil {
 				return err
 			}
 		}
+		return nil
 	})
 	if err != nil {
 		return nil, err

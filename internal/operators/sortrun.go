@@ -28,21 +28,10 @@ func quicksortLocal(u *engine.Unit, cm CostModel, r *engine.Region) {
 	if n == 0 {
 		return
 	}
-	if u.Bulk() {
-		u.LoadRun(r, 0, n)
-		tuple.SortSliceByKey(r.Tuples)
-		u.Charge(float64(n) * log2ceil(n) * cm.QuicksortInsts)
-		u.StoreRun(r, 0, r.Tuples)
-		return
-	}
-	for i := 0; i < n; i++ {
-		u.LoadTuple(r, i)
-	}
+	u.LoadRun(r, 0, n)
 	tuple.SortSliceByKey(r.Tuples)
 	u.Charge(float64(n) * log2ceil(n) * cm.QuicksortInsts)
-	for i := 0; i < n; i++ {
-		u.StoreTuple(r, i, r.Tuples[i])
-	}
+	u.StoreRun(r, 0, r.Tuples)
 }
 
 // quicksortSuper sorts the concatenation of several consecutive regions
@@ -50,45 +39,23 @@ func quicksortLocal(u *engine.Unit, cm CostModel, r *engine.Region) {
 // region, the O(n log n) compare work over the full group working set,
 // and one streaming store back.
 func quicksortSuper(u *engine.Unit, cm CostModel, regions []*engine.Region) {
-	if u.Bulk() {
-		total := 0
-		for _, r := range regions {
-			total += r.Len()
-		}
-		if total == 0 {
-			return
-		}
-		all := make([]tuple.Tuple, 0, total)
-		for _, r := range regions {
-			all = append(all, u.LoadRun(r, 0, r.Len())...)
-		}
-		tuple.SortSliceByKey(all)
-		u.Charge(float64(total) * log2ceil(total) * cm.QuicksortInsts)
-		k := 0
-		for _, r := range regions {
-			u.StoreRun(r, 0, all[k:k+r.Len()])
-			k += r.Len()
-		}
-		return
-	}
-	var all []tuple.Tuple
+	total := 0
 	for _, r := range regions {
-		for i := 0; i < r.Len(); i++ {
-			all = append(all, u.LoadTuple(r, i))
-		}
+		total += r.Len()
 	}
-	n := len(all)
-	if n == 0 {
+	if total == 0 {
 		return
+	}
+	all := make([]tuple.Tuple, 0, total)
+	for _, r := range regions {
+		all = append(all, u.LoadRun(r, 0, r.Len())...)
 	}
 	tuple.SortSliceByKey(all)
-	u.Charge(float64(n) * log2ceil(n) * cm.QuicksortInsts)
+	u.Charge(float64(total) * log2ceil(total) * cm.QuicksortInsts)
 	k := 0
 	for _, r := range regions {
-		for i := 0; i < r.Len(); i++ {
-			u.StoreTuple(r, i, all[k])
-			k++
-		}
+		u.StoreRun(r, 0, all[k:k+r.Len()])
+		k += r.Len()
 	}
 }
 
@@ -135,35 +102,12 @@ func formRuns(u *engine.Unit, cm CostModel, r *engine.Region, simd bool) error {
 	if err != nil {
 		return err
 	}
-	in := readers[0]
-	var out []tuple.Tuple
-	if u.Bulk() {
-		// The read pass fully precedes the write pass and NextRun hands
-		// back the region's own storage, so the whole bucket streams in as
-		// one run and the groups sort in place (identical contents and
-		// comparator → identical permutations).
-		run := in.NextRun(n)
-		for g := 0; g < n; g += cm.InitialRunLen {
-			end := g + cm.InitialRunLen
-			if end > n {
-				end = n
-			}
-			tuple.SortSliceByKey(run[g:end])
-		}
-	} else {
-		out = make([]tuple.Tuple, 0, n)
-		for !in.Done() {
-			group := make([]tuple.Tuple, 0, cm.InitialRunLen)
-			for len(group) < cm.InitialRunLen {
-				t, ok := in.Next()
-				if !ok {
-					break
-				}
-				group = append(group, t)
-			}
-			tuple.SortSliceByKey(group)
-			out = append(out, group...)
-		}
+	// The read pass fully precedes the write pass and NextRun hands back
+	// the region's own storage, so the whole bucket streams in as one run
+	// and the groups sort in place.
+	run := readers[0].NextRun(n)
+	for i := 0; i < n; i += cm.InitialRunLen {
+		tuple.SortSliceByKey(run[i:min(i+cm.InitialRunLen, n)])
 	}
 	if simd {
 		// Bitonic sort of 16-tuple groups: log2(16)·(log2(16)+1)/2 = 10
@@ -173,14 +117,7 @@ func formRuns(u *engine.Unit, cm CostModel, r *engine.Region, simd bool) error {
 		// Insertion sort of each group: ~log2(runLen)·Quicksort-like work.
 		u.Charge(float64(n) * log2ceil(cm.InitialRunLen) * cm.QuicksortInsts)
 	}
-	if u.Bulk() {
-		u.WriteRunBytes(r.Addr, tuple.Size, n)
-		return nil
-	}
-	for i := range out {
-		r.Tuples[i] = out[i]
-		u.WriteBytes(r.Addr+int64(i)*tuple.Size, tuple.Size)
-	}
+	u.WriteRunBytes(r.Addr, tuple.Size, n)
 	return nil
 }
 

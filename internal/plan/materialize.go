@@ -8,11 +8,10 @@ import (
 // canonical one-region-per-vault input layout. Data does not move between
 // vaults — each vault's fragments are concatenated locally, one fragment
 // at a time as a sequential read run followed by a sequential write run,
-// charged to the vault's unit. The run-based bulk access path retires
-// each fragment in two calls; the engine's NoBulk mode expands them into
-// the per-tuple reference loop with the same access order, so the two
-// modes charge identical simulated work (the bulk-vs-reference
-// differential suite pins this).
+// charged to the vault's unit. Each fragment retires in two run calls,
+// and the engine's NoBulk mode expands each run call into its per-element
+// accesses, so Materialize keeps no per-tuple loop of its own (the
+// bulk-vs-reference differential suite pins the expansion).
 func Materialize(e *engine.Engine, outs []*engine.Region) ([]*engine.Region, error) {
 	nv := e.NumVaults()
 	byVault := make([][]*engine.Region, nv)
@@ -36,25 +35,9 @@ func Materialize(e *engine.Engine, outs []*engine.Region) ([]*engine.Region, err
 		dst.Reserve(total)
 		u := unitFor(e, v)
 		for _, r := range byVault[v] {
-			n := r.Len()
-			if n == 0 {
-				continue
-			}
-			if u.Bulk() {
-				ts := u.LoadRun(r, 0, n)
-				u.ChargeRun(2, n)
-				u.AppendRunLocal(dst, ts)
-				continue
-			}
-			// Reference per-tuple path: the element-wise expansion of the
-			// two runs above, in the same order.
-			for i := 0; i < n; i++ {
-				u.LoadTuple(r, i)
-				u.Charge(2)
-			}
-			for i := 0; i < n; i++ {
-				u.AppendLocal(dst, r.Tuples[i])
-			}
+			ts := u.LoadRun(r, 0, r.Len())
+			u.ChargeRun(2, len(ts))
+			u.AppendRunLocal(dst, ts)
 		}
 		result[v] = dst
 	}

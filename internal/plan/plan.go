@@ -15,6 +15,7 @@ package plan
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"github.com/ecocloud-go/mondrian/internal/engine"
 	"github.com/ecocloud-go/mondrian/internal/operators"
@@ -125,7 +126,9 @@ func (x *executor) label(name string) string {
 	}
 	x.seen[name]++
 	if n := x.seen[name]; n > 1 {
-		return fmt.Sprintf("%s#%d", name, n)
+		// Not fmt: its printer cache, emptied by every garbage
+		// collection, would make a run's allocations timing-dependent.
+		return name + "#" + strconv.Itoa(n)
 	}
 	return name
 }

@@ -428,3 +428,20 @@ func TestNodeNames(t *testing.T) {
 		t.Fatal("table name wrong")
 	}
 }
+
+// TestStageLabelsNumberRepeats: the first stage of a name keeps the bare
+// name and each repeat gets "#n", counted per name, so every stage of a
+// plan with two joins stays addressable in manifests.
+func TestStageLabelsNumberRepeats(t *testing.T) {
+	x := &executor{}
+	var got []string
+	for _, name := range []string{"join", "join", "agg", "join", "agg", "sort"} {
+		got = append(got, x.label(name))
+	}
+	want := []string{"join", "join#2", "agg", "join#3", "agg#2", "sort"}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("labels = %q, want %q", got, want)
+		}
+	}
+}

@@ -308,14 +308,6 @@ func (s *Scheduler) SetTenantWeight(tenant string, weight int) {
 	s.mu.Unlock()
 }
 
-// Footprint returns the aggregate vault-capacity footprint currently
-// reserved by queued and running requests.
-func (s *Scheduler) Footprint() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.footprint
-}
-
 // Submit enqueues one request for tenant. It returns a Ticket to wait
 // on, or an *ErrAdmission if a capacity bound refuses the request, or
 // ErrClosed after Close. Submit never blocks on queue pressure.

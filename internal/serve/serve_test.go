@@ -38,7 +38,7 @@ func TestAdmissionFootprintReject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Footprint(); got != fp {
+	if got := reserved(s); got != fp {
 		t.Fatalf("reserved footprint = %d, want %d", got, fp)
 	}
 
@@ -59,7 +59,7 @@ func TestAdmissionFootprintReject(t *testing.T) {
 	if r := tk.Wait(); r.Err != nil || !r.Result.Verified {
 		t.Fatalf("queued run failed: %+v", r.Err)
 	}
-	if got := s.Footprint(); got != 0 {
+	if got := reserved(s); got != 0 {
 		t.Fatalf("footprint after completion = %d, want 0", got)
 	}
 	if _, err := s.Submit("b", scanReq(simulate.Mondrian)); err != nil {
@@ -89,6 +89,14 @@ func TestQueueDepthReject(t *testing.T) {
 	if rejects != 1 {
 		t.Fatalf("admission rejects counter = %d, want 1", rejects)
 	}
+}
+
+// reserved returns the vault-capacity footprint s holds for queued and
+// running requests.
+func reserved(s *Scheduler) int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.footprint
 }
 
 // popOrder drains the scheduler via the fairness policy alone (no
@@ -205,7 +213,7 @@ func TestCloseCancelsQueued(t *testing.T) {
 	if _, err := s.Submit("a", scanReq(simulate.Mondrian)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after Close = %v, want ErrClosed", err)
 	}
-	if got := s.Footprint(); got != 0 {
+	if got := reserved(s); got != 0 {
 		t.Fatalf("footprint after Close = %d, want 0", got)
 	}
 }

@@ -2,6 +2,7 @@ package simulate
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"github.com/ecocloud-go/mondrian/internal/engine"
@@ -143,4 +144,55 @@ func liveHeap() uint64 {
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
 	return m.HeapAlloc
+}
+
+// TestRunAllocationsIndependentOfCollections: a pooled Run of every
+// System × Operator allocates as often right after a garbage collection
+// as with collection switched off. Anything a run draws from a cache that
+// collections empty (fmt's printer cache, behind every Sprintf) breaks
+// this, and with it the bound above, which then passes or fails by when
+// collections fall. Each side is the least of three runs, which sets
+// aside the odd run that allocates once more whether or not a collection
+// came before it. The plans are left out: their host-side hash maps grow
+// by Go's per-map random seed, so their counts vary from run to run
+// whatever the collector does.
+func TestRunAllocationsIndependentOfCollections(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	p := goldenParams()
+	p.Parallelism = 1
+	// mallocs returns the least allocation count of three runs, each
+	// after a forced collection when collect is set.
+	mallocs := func(run func(), collect bool) uint64 {
+		least := ^uint64(0)
+		for i := 0; i < 3; i++ {
+			if collect {
+				runtime.GC()
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.Mallocs-before.Mallocs)
+		}
+		return least
+	}
+	for _, s := range Systems() {
+		for _, op := range Operators() {
+			run := func() {
+				if _, err := Run(s, op, p); err != nil {
+					t.Fatalf("%v/%v: %v", s, op, err)
+				}
+			}
+			run() // fill the pool
+			run()
+			quiet := mallocs(run, false)
+			if collected := mallocs(run, true); collected != quiet {
+				t.Errorf("%v/%v: %d allocations right after a collection, %d with none", s, op, collected, quiet)
+			}
+		}
+	}
 }

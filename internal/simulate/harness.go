@@ -72,7 +72,8 @@ func execute(s System, x experiment, p Params) (report, error) {
 		return nil, err
 	}
 	var res report
-	err := Protect(fmt.Sprintf("%v/%v", s, x), func() error {
+	op := func() string { return fmt.Sprintf("%v/%v", s, x) }
+	err := protect(op, func() error {
 		e, release, err := acquireEngine(p, s)
 		if err != nil {
 			return err

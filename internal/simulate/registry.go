@@ -119,7 +119,7 @@ func builtinSpecs() []Spec {
 // Register adds a system spec to the registry and returns its handle.
 // Names are case-insensitive, unique, and non-empty. Registered systems
 // run through Run and RunPlan exactly like the builtin seven; Systems()
-// — and therefore RunAll — still enumerates only the paper's matrix.
+// still enumerates only the paper's matrix.
 func Register(sp Spec) (System, error) {
 	if sp.Name == "" {
 		return 0, fmt.Errorf("simulate: Register: empty system name")
@@ -181,7 +181,7 @@ func registeredSystems() int {
 	return len(regList)
 }
 
-// Systems lists the paper's seven configurations — the RunAll matrix.
+// Systems lists the paper's seven configurations — the evaluation matrix.
 // Runtime-registered systems are not included; run them individually.
 func Systems() []System {
 	out := make([]System, numSystems)

@@ -285,22 +285,3 @@ func probePhaseBW(steps []engine.StepTiming, partitionNs float64, vaults int) fl
 	}
 	return float64(bytes) / ns / float64(vaults)
 }
-
-// RunAll executes the full system × operator matrix.
-func RunAll(p Params) (map[System]map[Operator]*Result, error) {
-	out := make(map[System]map[Operator]*Result)
-	for _, s := range Systems() {
-		out[s] = make(map[Operator]*Result)
-		for _, op := range Operators() {
-			r, err := Run(s, op, p)
-			if err != nil {
-				return nil, fmt.Errorf("%v/%v: %w", s, op, err)
-			}
-			if !r.Verified {
-				return nil, fmt.Errorf("%v/%v: output verification failed", s, op)
-			}
-			out[s][op] = r
-		}
-	}
-	return out, nil
-}

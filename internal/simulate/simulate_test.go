@@ -68,16 +68,17 @@ func TestOperatorConfigsPerSystem(t *testing.T) {
 	}
 }
 
-func TestRunAllVerifies(t *testing.T) {
+func TestMatrixVerifies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix run in -short mode")
 	}
-	results, err := RunAll(TestParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s, ops := range results {
-		for op, r := range ops {
+	p := TestParams()
+	for _, s := range Systems() {
+		for _, op := range Operators() {
+			r, err := Run(s, op, p)
+			if err != nil {
+				t.Fatalf("%v/%v: %v", s, op, err)
+			}
 			if !r.Verified {
 				t.Errorf("%v/%v not verified", s, op)
 			}

@@ -99,8 +99,9 @@ type HostParams struct {
 	// Parallelism bounds the host worker pool executing per-vault work
 	// (0 = GOMAXPROCS, 1 = serial).
 	Parallelism int
-	// NoBulk disables the engine's run-based bulk access fast path,
-	// forcing the per-tuple reference loops everywhere.
+	// NoBulk disables the engine's run-based bulk access fast path: run
+	// accessors expand to per-element accesses and the operators' per-tuple
+	// reference loops run (engine.Config.NoBulk).
 	NoBulk bool
 	// NoPool disables engine pooling: every run constructs a fresh engine
 	// with engine.New and discards it. Pooling (the default) acquires a

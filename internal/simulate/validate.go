@@ -193,10 +193,18 @@ func newInternalError(op string, r any) *InternalError {
 // automatically; tools that drive the engine/operators layers directly
 // (e.g. cmd/mondrian-trace) can wrap their bodies in it for the same
 // no-panic guarantee.
-func Protect(op string, fn func() error) (err error) {
+func Protect(op string, fn func() error) error {
+	return protect(func() string { return op }, fn)
+}
+
+// protect is Protect with the operation's name built only on a panic, so
+// the error path costs a run nothing: formatting goes through fmt's
+// printer cache, which the garbage collector empties, and would make a
+// run's allocations depend on when collections fell.
+func protect(op func() string, fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = newInternalError(op, r)
+			err = newInternalError(op(), r)
 		}
 	}()
 	return fn()

@@ -184,3 +184,23 @@ func TestProtectConvertsPanics(t *testing.T) {
 		t.Fatalf("Protect without panic returned %v", err)
 	}
 }
+
+// TestProtectNamesOnlyOnPanic: the harness's recovery boundary builds the
+// operation's name only when it has a panic to report, and the
+// *InternalError carries that name.
+func TestProtectNamesOnlyOnPanic(t *testing.T) {
+	calls := 0
+	op := func() string { calls++; return "Mondrian/Join" }
+	if err := protect(op, func() error { return nil }); err != nil || calls != 0 {
+		t.Fatalf("clean run: err = %v, name built %d times, want nil and 0", err, calls)
+	}
+	want := errors.New("operator failed")
+	if err := protect(op, func() error { return want }); err != want || calls != 0 {
+		t.Fatalf("failing run: err = %v, name built %d times, want %v and 0", err, calls, want)
+	}
+	err := protect(op, func() error { panic("engine invariant broke") })
+	var ie *InternalError
+	if !errors.As(err, &ie) || ie.Op != "Mondrian/Join" || calls != 1 {
+		t.Fatalf("panicking run: err = %v, name built %d times, want *InternalError for Mondrian/Join and 1", err, calls)
+	}
+}

@@ -76,8 +76,8 @@ func TestRLEExpandEquivalence(t *testing.T) {
 	if a, b := Analyze(rle.Events(), 256), Analyze(want, 256); a != b {
 		t.Fatalf("Analyze(RLE) = %+v, Analyze(flat) = %+v", a, b)
 	}
-	if a, b := PerUnit(rle.Events(), 256), PerUnit(want, 256); !reflect.DeepEqual(a, b) {
-		t.Fatalf("PerUnit(RLE) = %v, PerUnit(flat) = %v", a, b)
+	if a, b := perUnit(rle.Events(), 256), perUnit(want, 256); !reflect.DeepEqual(a, b) {
+		t.Fatalf("perUnit(RLE) = %v, perUnit(flat) = %v", a, b)
 	}
 }
 

@@ -9,7 +9,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"github.com/ecocloud-go/mondrian/internal/engine"
 )
@@ -207,19 +206,6 @@ func Analyze(events []Event, rowBytes int) Stats {
 	return s
 }
 
-// PerUnit splits a stream by unit and analyzes each; keys are unit IDs.
-func PerUnit(events []Event, rowBytes int) map[int]Stats {
-	byUnit := make(map[int][]Event)
-	for _, e := range Expand(events) {
-		byUnit[e.Unit] = append(byUnit[e.Unit], e)
-	}
-	out := make(map[int]Stats, len(byUnit))
-	for u, evs := range byUnit {
-		out[u] = Analyze(evs, rowBytes)
-	}
-	return out
-}
-
 // Filter returns the per-access events matching the predicate (RLE
 // records are expanded first so predicates see single accesses).
 func Filter(events []Event, keep func(Event) bool) []Event {
@@ -229,26 +215,6 @@ func Filter(events []Event, keep func(Event) bool) []Event {
 			out = append(out, e)
 		}
 	}
-	return out
-}
-
-// RowHistogram counts accesses per DRAM row, sorted by row address.
-type RowCount struct {
-	Row   int64
-	Count int
-}
-
-// RowHistogram computes per-row access counts.
-func RowHistogram(events []Event, rowBytes int) []RowCount {
-	counts := make(map[int64]int)
-	for _, e := range Expand(events) {
-		counts[e.Addr/int64(rowBytes)]++
-	}
-	out := make([]RowCount, 0, len(counts))
-	for row, c := range counts {
-		out = append(out, RowCount{Row: row, Count: c})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Row < out[j].Row })
 	return out
 }
 

@@ -23,6 +23,19 @@ func seqEvents(n int) []Event {
 	return out
 }
 
+// perUnit splits a stream by unit and analyzes each; keys are unit IDs.
+func perUnit(events []Event, rowBytes int) map[int]Stats {
+	byUnit := make(map[int][]Event)
+	for _, e := range Expand(events) {
+		byUnit[e.Unit] = append(byUnit[e.Unit], e)
+	}
+	out := make(map[int]Stats, len(byUnit))
+	for u, evs := range byUnit {
+		out[u] = Analyze(evs, rowBytes)
+	}
+	return out
+}
+
 func TestAnalyzeSequential(t *testing.T) {
 	s := Analyze(seqEvents(64), 256)
 	if s.Events != 64 || s.Reads != 64 {
@@ -59,7 +72,7 @@ func TestAnalyzeInterleaved(t *testing.T) {
 		t.Fatalf("stats = %+v", s)
 	}
 	// Per-unit views recover the sequentiality of stream 0.
-	per := PerUnit(evs, 256)
+	per := perUnit(evs, 256)
 	if per[0].SeqRatio != 1 {
 		t.Fatalf("unit 0 SeqRatio = %v", per[0].SeqRatio)
 	}
@@ -88,16 +101,6 @@ func TestRecorderLimitAndFilter(t *testing.T) {
 	f.Access(0, engine.TracePermuted, 16, 16, true)
 	if len(f.Events()) != 1 || f.Events()[0].Kind != engine.TracePermuted {
 		t.Fatalf("filter failed: %+v", f.Events())
-	}
-}
-
-func TestRowHistogram(t *testing.T) {
-	evs := []Event{
-		{Addr: 0, Size: 16}, {Addr: 16, Size: 16}, {Addr: 256, Size: 16},
-	}
-	h := RowHistogram(evs, 256)
-	if len(h) != 2 || h[0].Count != 2 || h[1].Count != 1 {
-		t.Fatalf("histogram = %+v", h)
 	}
 }
 
@@ -171,7 +174,7 @@ func TestShuffleTraceSequentiality(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Per destination vault, measure the arriving write stream.
-		perVault := PerUnit(mapToVault(rec.Events(), e), 256)
+		perVault := perUnit(mapToVault(rec.Events(), e), 256)
 		var agg Stats
 		var n int
 		for _, s := range perVault {
@@ -191,7 +194,7 @@ func TestShuffleTraceSequentiality(t *testing.T) {
 	}
 }
 
-// mapToVault rewrites event Unit to the destination vault so PerUnit
+// mapToVault rewrites event Unit to the destination vault so perUnit
 // groups by destination.
 func mapToVault(events []Event, e *engine.Engine) []Event {
 	out := make([]Event, len(events))

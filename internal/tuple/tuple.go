@@ -55,28 +55,8 @@ func (r *Relation) Len() int { return len(r.Tuples) }
 // Bytes returns the relation's footprint in simulated memory.
 func (r *Relation) Bytes() int64 { return int64(len(r.Tuples)) * Size }
 
-// Append adds tuples to the relation. Hot loops should prefer Append1 or
-// AppendSlice: the variadic form materializes a slice header per call.
-func (r *Relation) Append(ts ...Tuple) { r.Tuples = append(r.Tuples, ts...) }
-
-// Append1 adds a single tuple without the variadic slice-header cost.
+// Append1 adds a single tuple.
 func (r *Relation) Append1(t Tuple) { r.Tuples = append(r.Tuples, t) }
-
-// AppendSlice adds a batch of tuples from an existing slice.
-func (r *Relation) AppendSlice(ts []Tuple) { r.Tuples = append(r.Tuples, ts...) }
-
-// Clone returns a deep copy of the relation.
-func (r *Relation) Clone() *Relation {
-	c := &Relation{Name: r.Name, Tuples: make([]Tuple, len(r.Tuples))}
-	copy(c.Tuples, r.Tuples)
-	return c
-}
-
-// SortByKey sorts the relation's tuples by key ascending (stable with
-// respect to payloads is not required; ties keep payload order unspecified).
-func (r *Relation) SortByKey() {
-	SortSliceByKey(r.Tuples)
-}
 
 // IsSortedByKey reports whether tuples are in non-decreasing key order.
 func (r *Relation) IsSortedByKey() bool {
@@ -89,8 +69,7 @@ func (r *Relation) IsSortedByKey() bool {
 //
 // Chunks share the parent's Name: nothing on the placement path reads a
 // per-chunk name, and formatting one per vault put a fmt.Sprintf (and
-// its allocations) on every run's setup. Display code that wants the
-// indexed form builds it on demand with ChunkName.
+// its allocations) on every run's setup.
 func (r *Relation) SplitEven(n int) []*Relation {
 	if n <= 0 {
 		panic("tuple: SplitEven requires n > 0")
@@ -111,24 +90,4 @@ func (r *Relation) Chunk(i, n int) []Tuple {
 		return r.Tuples[start : start+q+1]
 	}
 	return r.Tuples[start : start+q]
-}
-
-// ChunkName formats the indexed display name of chunk i of this
-// relation ("name[i]"), for tracing and diagnostics that want to tell
-// SplitEven chunks apart.
-func (r *Relation) ChunkName(i int) string {
-	return fmt.Sprintf("%s[%d]", r.Name, i)
-}
-
-// Concat concatenates the given relations into a single new relation.
-func Concat(name string, parts []*Relation) *Relation {
-	total := 0
-	for _, p := range parts {
-		total += len(p.Tuples)
-	}
-	out := &Relation{Name: name, Tuples: make([]Tuple, 0, total)}
-	for _, p := range parts {
-		out.Tuples = append(out.Tuples, p.Tuples...)
-	}
-	return out
 }

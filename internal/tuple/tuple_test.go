@@ -6,6 +6,15 @@ import (
 	"testing/quick"
 )
 
+// concat joins the relations' tuples in order.
+func concat(parts []*Relation) []Tuple {
+	var out []Tuple
+	for _, p := range parts {
+		out = append(out, p.Tuples...)
+	}
+	return out
+}
+
 func TestTupleSize(t *testing.T) {
 	// The simulated memory system assumes 16-byte tuples everywhere.
 	if Size != 16 {
@@ -18,7 +27,9 @@ func TestRelationAppendLenBytes(t *testing.T) {
 	if r.Len() != 0 || r.Bytes() != 0 {
 		t.Fatalf("empty relation: Len=%d Bytes=%d", r.Len(), r.Bytes())
 	}
-	r.Append(Tuple{1, 10}, Tuple{2, 20}, Tuple{3, 30})
+	r.Append1(Tuple{1, 10})
+	r.Append1(Tuple{2, 20})
+	r.Append1(Tuple{3, 30})
 	if r.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", r.Len())
 	}
@@ -27,26 +38,14 @@ func TestRelationAppendLenBytes(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	r := &Relation{Name: "r", Tuples: []Tuple{{1, 1}, {2, 2}}}
-	c := r.Clone()
-	c.Tuples[0].Key = 99
-	if r.Tuples[0].Key != 1 {
-		t.Fatal("Clone shares backing storage with original")
-	}
-	if c.Name != "r" {
-		t.Fatalf("Clone name = %q, want %q", c.Name, "r")
-	}
-}
-
 func TestSortByKey(t *testing.T) {
 	r := &Relation{Tuples: []Tuple{{3, 0}, {1, 0}, {2, 0}}}
 	if r.IsSortedByKey() {
 		t.Fatal("unsorted relation reported sorted")
 	}
-	r.SortByKey()
+	SortSliceByKey(r.Tuples)
 	if !r.IsSortedByKey() {
-		t.Fatal("relation not sorted after SortByKey")
+		t.Fatal("relation not sorted after SortSliceByKey")
 	}
 	want := []Key{1, 2, 3}
 	for i, k := range want {
@@ -87,10 +86,10 @@ func TestSplitEvenSizes(t *testing.T) {
 			t.Fatalf("uneven split: max %d min %d", maxSz, minSz)
 		}
 		// Concatenation must reproduce the original order exactly.
-		back := Concat("back", parts)
+		back := concat(parts)
 		for i := range r.Tuples {
-			if back.Tuples[i] != r.Tuples[i] {
-				t.Fatalf("Concat(SplitEven) mismatch at %d", i)
+			if back[i] != r.Tuples[i] {
+				t.Fatalf("concat(SplitEven) mismatch at %d", i)
 			}
 		}
 	}
@@ -177,8 +176,8 @@ func TestSplitEvenProperty(t *testing.T) {
 			r.Tuples[i] = Tuple{Key(rng.Uint64()), Value(rng.Uint64())}
 		}
 		split := r.SplitEven(p)
-		back := Concat("back", split)
-		return SameMultiset(r.Tuples, back.Tuples) && len(back.Tuples) == len(r.Tuples)
+		back := concat(split)
+		return SameMultiset(r.Tuples, back) && len(back) == len(r.Tuples)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rng}); err != nil {
 		t.Fatal(err)
@@ -197,13 +196,5 @@ func TestSplitEvenAllocs(t *testing.T) {
 	// 1 for the []*Relation plus n Relation structs.
 	if allocs > n+1 {
 		t.Fatalf("SplitEven(%d) allocated %.1f times per run, want <= %d", n, allocs, n+1)
-	}
-}
-
-// ChunkName provides the indexed display form on demand.
-func TestChunkName(t *testing.T) {
-	r := &Relation{Name: "rel"}
-	if got := r.ChunkName(3); got != "rel[3]" {
-		t.Fatalf("ChunkName(3) = %q, want %q", got, "rel[3]")
 	}
 }
