@@ -39,11 +39,13 @@ race:
 # (LLC stage inline) against Parallelism 4 (LLC stage on its own
 # goroutine). Go splits -run patterns at unbracketed slashes, hence the
 # group around the two test names. The MapReduce and BSP goldens run the
-# shared vault shuffle at Parallelism 1 and 4.
+# shared vault shuffle at Parallelism 1 and 4. The serve test scrapes the
+# scheduler's metrics, tenants and flight ring while its workers run.
 race-smoke:
 	$(GO) test -race -count=2 -run TestConcurrentRunDeterminism ./internal/simulate/
 	$(GO) test -race -run '(TestGoldenDeterminism|TestPlanManifestDeterminism)/CPU' ./internal/simulate/
 	$(GO) test -race -run 'TestMapReduceGolden|TestBSPGolden' ./internal/mapreduce/ ./internal/bsp/
+	$(GO) test -race -run TestConcurrentIntrospection ./internal/serve/
 
 # Short fuzzing sweep over the multiset-digest and operator round-trip
 # properties plus the no-panic boundary of simulate.Run and RunPlan (the

@@ -67,14 +67,11 @@ func run() error {
 	)
 	flag.Parse()
 
-	reg := obs.NewRegistry()
 	sched := serve.New(serve.Config{
 		Workers:              *workers,
 		QueueDepth:           *depth,
 		FootprintBudgetBytes: *budget,
-		Obs:                  reg,
-		HarvestExchange:      true,
-		RetainSpans:          true,
+		Obs:                  obs.NewRegistry(),
 		FlightRecords:        *flight,
 		FlightDump:           os.Stderr,
 		SLOTargetNs:          *sloMs * 1e6,
@@ -94,7 +91,7 @@ func run() error {
 		}
 	}
 
-	srv := &http.Server{Handler: handler(sched, reg)}
+	srv := &http.Server{Handler: handler(sched)}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
@@ -137,16 +134,15 @@ func run() error {
 
 // handler assembles the introspection mux. Factored out of run so tests
 // can drive it with httptest against a deterministic scheduler.
-func handler(sched *serve.Scheduler, reg *obs.Registry) http.Handler {
+func handler(sched *serve.Scheduler) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		sched.PublishLive()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := obs.WritePrometheus(w, reg); err != nil {
+		if err := sched.WritePrometheus(w); err != nil {
 			log.Printf("metrics: %v", err)
 		}
 	})

@@ -25,10 +25,7 @@ func testParams() simulate.Params {
 }
 
 func TestHandlerEndpoints(t *testing.T) {
-	reg := obs.NewRegistry()
-	sched := serve.New(serve.Config{
-		Workers: 2, Obs: reg, HarvestExchange: true, RetainSpans: true,
-	})
+	sched := serve.New(serve.Config{Workers: 2, Obs: obs.NewRegistry()})
 	defer sched.Close()
 
 	// Serve a small mix so every endpoint has data.
@@ -50,7 +47,7 @@ func TestHandlerEndpoints(t *testing.T) {
 		}
 	}
 
-	srv := httptest.NewServer(handler(sched, reg))
+	srv := httptest.NewServer(handler(sched))
 	defer srv.Close()
 
 	get := func(path string) (int, string) {
@@ -94,6 +91,9 @@ func TestHandlerEndpoints(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(body), &tn); err != nil {
 		t.Fatalf("/tenants not JSON: %v", err)
+	}
+	if strings.Contains(body, `"weight"`) {
+		t.Fatalf("/tenants still reports a tenant weight:\n%s", body)
 	}
 	if len(tn.Tenants) != 2 {
 		t.Fatalf("/tenants = %d tenants, want 2", len(tn.Tenants))

@@ -232,7 +232,7 @@ func run() error {
 	}
 	if *promOut != "" {
 		if err := cliio.WriteFile(*promOut, func(w io.Writer) error {
-			return obs.WritePrometheus(w, p.Obs)
+			return obs.WritePrometheus(w, p.Obs.Snapshot())
 		}); err != nil {
 			return err
 		}

@@ -22,35 +22,27 @@
 //
 // Metrics are identified by name; a Prometheus-style label set may be
 // embedded in the name with Label (`dram_row_hits{vault="3"}`). Metrics
-// are not internally synchronized by default: a registry must be owned by
-// one goroutine at a time. A long-lived serving registry that must be
-// snapshotted while writers are active opts into synchronization with
-// Concurrent() — see its doc for the exact contract.
+// are not internally synchronized: a registry must be owned by one
+// goroutine at a time, or by whoever holds its owner's lock (the serving
+// scheduler keeps its registry under its own mutex and exports from a
+// Snapshot taken there).
 package obs
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Counter is a monotonically increasing uint64 metric. The zero value is
 // ready to use; a nil Counter ignores all updates.
 type Counter struct {
-	v  uint64
-	mu *sync.Mutex // non-nil only for handles of a Concurrent() registry
+	v uint64
 }
 
 // Add increments the counter by n. No-op on a nil receiver.
 func (c *Counter) Add(n uint64) {
 	if c == nil {
-		return
-	}
-	if c.mu != nil {
-		c.mu.Lock()
-		c.v += n
-		c.mu.Unlock()
 		return
 	}
 	c.v += n
@@ -64,28 +56,19 @@ func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	if c.mu != nil {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-	}
 	return c.v
 }
 
 // Gauge is a float64 metric representing a current value. A nil Gauge
 // ignores all updates.
 type Gauge struct {
-	v  float64
-	mu *sync.Mutex // non-nil only for handles of a Concurrent() registry
+	v float64
 }
 
 // Set assigns the gauge's value. No-op on a nil receiver.
 func (g *Gauge) Set(v float64) {
 	if g == nil {
 		return
-	}
-	if g.mu != nil {
-		g.mu.Lock()
-		defer g.mu.Unlock()
 	}
 	g.v = v
 }
@@ -95,10 +78,6 @@ func (g *Gauge) Add(d float64) {
 	if g == nil {
 		return
 	}
-	if g.mu != nil {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-	}
 	g.v += d
 }
 
@@ -106,10 +85,6 @@ func (g *Gauge) Add(d float64) {
 func (g *Gauge) Value() float64 {
 	if g == nil {
 		return 0
-	}
-	if g.mu != nil {
-		g.mu.Lock()
-		defer g.mu.Unlock()
 	}
 	return g.v
 }
@@ -122,7 +97,6 @@ type Histogram struct {
 	counts []uint64 // len(bounds)+1; last is the overflow (+Inf) bucket
 	count  uint64
 	sum    float64
-	mu     *sync.Mutex // non-nil only for handles of a Concurrent() registry
 }
 
 // Observe records one observation. No-op on a nil receiver.
@@ -135,14 +109,6 @@ func (h *Histogram) ObserveN(v float64, n uint64) {
 	if h == nil || n == 0 {
 		return
 	}
-	if h.mu != nil {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-	}
-	h.observeLocked(v, n)
-}
-
-func (h *Histogram) observeLocked(v float64, n uint64) {
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
 	h.counts[i] += n
 	h.count += n
@@ -154,14 +120,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}
 	}
-	if h.mu != nil {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-	}
-	return h.snapshotLocked()
-}
-
-func (h *Histogram) snapshotLocked() HistogramSnapshot {
 	return HistogramSnapshot{
 		Bounds: append([]float64(nil), h.bounds...),
 		Counts: append([]uint64(nil), h.counts...),
@@ -174,61 +132,11 @@ func (h *Histogram) snapshotLocked() HistogramSnapshot {
 // path: Counter/Gauge/Histogram return nil handles whose methods no-op.
 type Registry struct {
 	metrics map[string]any // *Counter | *Gauge | *Histogram
-	order   []string       // registration order (stable export basis)
-	sync    *sync.Mutex    // non-nil after Concurrent(): serializes every access
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{metrics: make(map[string]any)}
-}
-
-// Concurrent switches the registry into its synchronized mode and
-// returns it: every subsequent metric write (through handles already
-// handed out or future ones), lookup, snapshot and export is serialized
-// on one internal mutex, so a reader may snapshot or export while
-// writers are active — the serving layer's live-introspection contract
-// (DESIGN.md §17). Call it before the registry is shared; the switch
-// itself is not synchronized against concurrent use. The default
-// unsynchronized mode stays the deterministic single-owner fast path,
-// and a nil registry remains the disabled no-op handle.
-func (r *Registry) Concurrent() *Registry {
-	if r == nil {
-		return nil
-	}
-	if r.sync == nil {
-		r.sync = &sync.Mutex{}
-		for _, m := range r.metrics {
-			stamp(m, r.sync)
-		}
-	}
-	return r
-}
-
-// stamp attaches the registry's mutex to one metric handle.
-func stamp(m any, mu *sync.Mutex) {
-	switch h := m.(type) {
-	case *Counter:
-		h.mu = mu
-	case *Gauge:
-		h.mu = mu
-	case *Histogram:
-		h.mu = mu
-	}
-}
-
-// lock/unlock guard registry-level state in Concurrent mode and are free
-// no-ops otherwise.
-func (r *Registry) lock() {
-	if r.sync != nil {
-		r.sync.Lock()
-	}
-}
-
-func (r *Registry) unlock() {
-	if r.sync != nil {
-		r.sync.Unlock()
-	}
 }
 
 // Counter returns (registering on first use) the named counter.
@@ -237,12 +145,6 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.lock()
-	defer r.unlock()
-	return r.counterLocked(name)
-}
-
-func (r *Registry) counterLocked(name string) *Counter {
 	if m, ok := r.metrics[name]; ok {
 		c, ok := m.(*Counter)
 		if !ok {
@@ -250,8 +152,8 @@ func (r *Registry) counterLocked(name string) *Counter {
 		}
 		return c
 	}
-	c := &Counter{mu: r.sync}
-	r.register(name, c)
+	c := &Counter{}
+	r.metrics[name] = c
 	return c
 }
 
@@ -261,12 +163,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.lock()
-	defer r.unlock()
-	return r.gaugeLocked(name)
-}
-
-func (r *Registry) gaugeLocked(name string) *Gauge {
 	if m, ok := r.metrics[name]; ok {
 		g, ok := m.(*Gauge)
 		if !ok {
@@ -274,8 +170,8 @@ func (r *Registry) gaugeLocked(name string) *Gauge {
 		}
 		return g
 	}
-	g := &Gauge{mu: r.sync}
-	r.register(name, g)
+	g := &Gauge{}
+	r.metrics[name] = g
 	return g
 }
 
@@ -287,12 +183,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.lock()
-	defer r.unlock()
-	return r.histogramLocked(name, bounds)
-}
-
-func (r *Registry) histogramLocked(name string, bounds []float64) *Histogram {
 	if !sort.Float64sAreSorted(bounds) {
 		panic(fmt.Sprintf("obs: histogram %q bounds not sorted", name))
 	}
@@ -309,21 +199,9 @@ func (r *Registry) histogramLocked(name string, bounds []float64) *Histogram {
 	h := &Histogram{
 		bounds: append([]float64(nil), bounds...),
 		counts: make([]uint64, len(bounds)+1),
-		mu:     r.sync,
 	}
-	r.register(name, h)
+	r.metrics[name] = h
 	return h
-}
-
-func (r *Registry) register(name string, m any) {
-	r.metrics[name] = m
-	r.order = append(r.order, name)
-}
-
-func (r *Registry) namesLocked() []string {
-	names := append([]string(nil), r.order...)
-	sort.Strings(names)
-	return names
 }
 
 // HistogramSnapshot is the exported state of one histogram. Counts has
@@ -389,17 +267,15 @@ type Snapshot struct {
 }
 
 // Snapshot exports every metric's current value (zero value when nil).
-// On a Concurrent() registry the whole snapshot is one critical section,
-// so it is a consistent point-in-time view even with writers active.
+// The snapshot shares no state with the registry, so it may be read or
+// exported after the registry's owner has moved on.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
 	if r == nil {
 		return s
 	}
-	r.lock()
-	defer r.unlock()
-	for _, name := range r.order {
-		switch m := r.metrics[name].(type) {
+	for name, m := range r.metrics {
+		switch m := m.(type) {
 		case *Counter:
 			if s.Counters == nil {
 				s.Counters = make(map[string]uint64)
@@ -414,7 +290,7 @@ func (r *Registry) Snapshot() Snapshot {
 			if s.Histograms == nil {
 				s.Histograms = make(map[string]HistogramSnapshot)
 			}
-			s.Histograms[name] = m.snapshotLocked()
+			s.Histograms[name] = m.Snapshot()
 		}
 	}
 	return s

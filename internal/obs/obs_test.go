@@ -30,7 +30,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 		t.Fatalf("nil snapshot must be empty")
 	}
 	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, r); err != nil || buf.Len() != 0 {
+	if err := WritePrometheus(&buf, r.Snapshot()); err != nil || buf.Len() != 0 {
 		t.Fatalf("nil prom export: err=%v len=%d", err, buf.Len())
 	}
 }
@@ -125,7 +125,7 @@ func TestWritePrometheus(t *testing.T) {
 	h.Observe(9)
 
 	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, r); err != nil {
+	if err := WritePrometheus(&buf, r.Snapshot()); err != nil {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
 	out := buf.String()

@@ -3,58 +3,65 @@ package obs
 import (
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 )
 
-// WritePrometheus renders every metric in r in Prometheus text exposition
+// WritePrometheus renders every metric in s in Prometheus text exposition
 // format (version 0.0.4). Metrics are emitted in sorted-name order, with
 // one `# TYPE` line per family; histograms expand into cumulative
-// `_bucket{le=...}` series plus `_sum` and `_count`. A nil registry
-// writes nothing. On a Concurrent() registry the whole export is one
-// critical section, consistent with concurrent writers.
-func WritePrometheus(w io.Writer, r *Registry) error {
-	if r == nil {
-		return nil
+// `_bucket{le=...}` series plus `_sum` and `_count`. An empty snapshot
+// (the snapshot of a nil registry) writes nothing.
+func WritePrometheus(w io.Writer, s Snapshot) error {
+	names := make([]string, 0, len(s.Counters)+len(s.Gauges)+len(s.Histograms))
+	for name := range s.Counters {
+		names = append(names, name)
 	}
-	r.lock()
-	defer r.unlock()
+	for name := range s.Gauges {
+		names = append(names, name)
+	}
+	for name := range s.Histograms {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	typed := make(map[string]string) // family -> emitted TYPE
-	for _, name := range r.namesLocked() {
+	for _, name := range names {
 		family, labels := splitName(name)
-		switch m := r.metrics[name].(type) {
-		case *Counter:
+		if v, ok := s.Counters[name]; ok {
 			if err := writeHeader(w, typed, family, "counter"); err != nil {
 				return err
 			}
-			if _, err := fmt.Fprintf(w, "%s %d\n", promName(family, labels), m.v); err != nil {
+			if _, err := fmt.Fprintf(w, "%s %d\n", promName(family, labels), v); err != nil {
 				return err
 			}
-		case *Gauge:
+		}
+		if v, ok := s.Gauges[name]; ok {
 			if err := writeHeader(w, typed, family, "gauge"); err != nil {
 				return err
 			}
-			if _, err := fmt.Fprintf(w, "%s %s\n", promName(family, labels), formatFloat(m.v)); err != nil {
+			if _, err := fmt.Fprintf(w, "%s %s\n", promName(family, labels), formatFloat(v)); err != nil {
 				return err
 			}
-		case *Histogram:
+		}
+		if h, ok := s.Histograms[name]; ok {
 			if err := writeHeader(w, typed, family, "histogram"); err != nil {
 				return err
 			}
 			var cum uint64
-			for i, bound := range m.bounds {
-				cum += m.counts[i]
+			for j, bound := range h.Bounds {
+				cum += h.Counts[j]
 				le := formatFloat(bound)
 				if _, err := fmt.Fprintf(w, "%s %d\n", promName(family+"_bucket", addLabel(labels, `le="`+le+`"`)), cum); err != nil {
 					return err
 				}
 			}
-			if _, err := fmt.Fprintf(w, "%s %d\n", promName(family+"_bucket", addLabel(labels, `le="+Inf"`)), m.count); err != nil {
+			if _, err := fmt.Fprintf(w, "%s %d\n", promName(family+"_bucket", addLabel(labels, `le="+Inf"`)), h.Count); err != nil {
 				return err
 			}
-			if _, err := fmt.Fprintf(w, "%s %s\n", promName(family+"_sum", labels), formatFloat(m.sum)); err != nil {
+			if _, err := fmt.Fprintf(w, "%s %s\n", promName(family+"_sum", labels), formatFloat(h.Sum)); err != nil {
 				return err
 			}
-			if _, err := fmt.Fprintf(w, "%s %d\n", promName(family+"_count", labels), m.count); err != nil {
+			if _, err := fmt.Fprintf(w, "%s %d\n", promName(family+"_count", labels), h.Count); err != nil {
 				return err
 			}
 		}

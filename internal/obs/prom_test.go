@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -74,7 +75,7 @@ func TestWritePrometheusTable(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := WritePrometheus(&buf, tc.build()); err != nil {
+			if err := WritePrometheus(&buf, tc.build().Snapshot()); err != nil {
 				t.Fatalf("WritePrometheus: %v", err)
 			}
 			out := buf.String()
@@ -92,5 +93,34 @@ func TestWritePrometheusTable(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWritePrometheusSnapshot renders a snapshot that no registry built:
+// families interleave in sorted-name order across kinds, and a name
+// carried by two kinds is refused rather than exported twice.
+func TestWritePrometheusSnapshot(t *testing.T) {
+	s := Snapshot{
+		Counters: map[string]uint64{"b_runs": 3},
+		Gauges:   map[string]float64{"a_load": 1.5, "c_temp": -2},
+		Histograms: map[string]HistogramSnapshot{
+			"b_lat": {Bounds: []float64{1}, Counts: []uint64{1, 1}, Count: 2, Sum: 7},
+		},
+	}
+	var buf bytes.Buffer
+	if err := WritePrometheus(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	want := "# TYPE a_load gauge\na_load 1.5\n" +
+		"# TYPE b_lat histogram\nb_lat_bucket{le=\"1\"} 1\nb_lat_bucket{le=\"+Inf\"} 2\nb_lat_sum 7\nb_lat_count 2\n" +
+		"# TYPE b_runs counter\nb_runs 3\n" +
+		"# TYPE c_temp gauge\nc_temp -2\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("got:\n%s\nwant:\n%s", got, want)
+	}
+
+	s.Gauges["b_runs"] = 1
+	if err := WritePrometheus(io.Discard, s); err == nil || !strings.Contains(err.Error(), "b_runs") {
+		t.Fatalf("name in two kinds: err = %v, want a family conflict", err)
 	}
 }

@@ -26,14 +26,6 @@ type Config struct {
 	// datasets overflow the default and surface ErrPartitionOverflow
 	// for the CPU to handle (§5.4) — retry with a larger factor.
 	Overprovision float64
-	// CPUProbeTuples is the partition size the CPU's probe phase works
-	// on. The paper's CPU probes 2^16-way radix partitions of a 32 GB
-	// dataset — ~32 Ki tuples (512 KB) each. At reduced dataset scale the
-	// 2^16-way buckets become unrealistically cache-resident, so the
-	// probe phase groups consecutive radix buckets into partitions of
-	// this many tuples (still a valid co-partition of the key space),
-	// reproducing the paper's probe working-set regime. 0 = 32 Ki.
-	CPUProbeTuples int
 	// SkewAware selects exact provisioning (see DESIGN.md §13): the
 	// partition phase sizes destination buffers from the exact exchanged
 	// histograms instead of raising ErrPartitionOverflow for the §5.4
@@ -51,13 +43,14 @@ func (c Config) overprovision() float64 {
 	return defaultOverprovision
 }
 
-// probeTuples returns the CPU probe partition size.
-func (c Config) probeTuples() int {
-	if c.CPUProbeTuples > 0 {
-		return c.CPUProbeTuples
-	}
-	return 32 << 10
-}
+// cpuProbeTuples is the partition size the CPU's probe phase works on.
+// The paper's CPU probes 2^16-way radix partitions of a 32 GB dataset —
+// ~32 Ki tuples (512 KB) each. At reduced dataset scale the 2^16-way
+// buckets become unrealistically cache-resident, so the probe phase
+// groups consecutive radix buckets into partitions of this many tuples
+// (still a valid co-partition of the key space), reproducing the paper's
+// probe working-set regime.
+const cpuProbeTuples = 32 << 10
 
 // isSIMD reports whether the engine's compute units have SIMD datapaths.
 func isSIMD(e *engine.Engine) bool { return e.Config().Core.SIMDBits > 0 }
@@ -120,10 +113,10 @@ func unitForBucket(e *engine.Engine, b int) *engine.Unit {
 // probeGroups partitions the bucket list into probe units: one bucket per
 // group on the vault-resident systems (a vault's bucket is its probe
 // working set), and runs of consecutive radix buckets totalling
-// ~CPUProbeTuples on the CPU (see Config.CPUProbeTuples). Consecutive
-// hash buckets form a valid coarser partition of the key space, so
-// grouping preserves co-partitioning and range order.
-func probeGroups(e *engine.Engine, cfg Config, buckets []*engine.Region) [][]int {
+// ~cpuProbeTuples on the CPU. Consecutive hash buckets form a valid
+// coarser partition of the key space, so grouping preserves
+// co-partitioning and range order.
+func probeGroups(e *engine.Engine, buckets []*engine.Region) [][]int {
 	if e.Config().Arch != engine.CPU {
 		groups := make([][]int, len(buckets))
 		for i := range buckets {
@@ -131,7 +124,7 @@ func probeGroups(e *engine.Engine, cfg Config, buckets []*engine.Region) [][]int
 		}
 		return groups
 	}
-	target := cfg.probeTuples()
+	target := cpuProbeTuples
 	// Never leave CPU cores idle: with small datasets, shrink groups so
 	// there is at least one per core.
 	total := totalLen(buckets)

@@ -143,15 +143,17 @@ func TestProbeGroupsShape(t *testing.T) {
 		}
 		buckets[i] = r
 	}
-	cfg := v.opCfg
-	cfg.CPUProbeTuples = 400
-	groups := probeGroups(e, cfg, buckets)
-	// 3200 tuples at 400/group → 8 groups of 4 consecutive buckets.
-	if len(groups) != 8 {
-		t.Fatalf("groups = %d, want 8", len(groups))
+	groups := probeGroups(e, buckets)
+	// 3200 tuples on 4 cores clamp the 32 Ki target to 800 per group →
+	// 4 groups of 8 consecutive buckets.
+	if len(groups) != 4 {
+		t.Fatalf("groups = %d, want 4", len(groups))
 	}
 	next := 0
 	for _, g := range groups {
+		if len(g) != 8 {
+			t.Fatalf("group sizes: %v, want 8 buckets each", groups)
+		}
 		for _, b := range g {
 			if b != next {
 				t.Fatalf("groups not consecutive: %v", groups)
@@ -169,7 +171,7 @@ func TestProbeGroupsShape(t *testing.T) {
 		}
 		nBuckets[i] = r
 	}
-	ngroups := probeGroups(nmp, testVariants()[1].opCfg, nBuckets)
+	ngroups := probeGroups(nmp, nBuckets)
 	if len(ngroups) != nmp.NumVaults() {
 		t.Fatalf("NMP groups = %d", len(ngroups))
 	}
@@ -192,9 +194,7 @@ func TestProbeGroupsKeepCoresBusy(t *testing.T) {
 		}
 		buckets[i] = r
 	}
-	cfg := v.opCfg
-	cfg.CPUProbeTuples = 1 << 20 // absurdly large target
-	groups := probeGroups(e, cfg, buckets)
+	groups := probeGroups(e, buckets)
 	if len(groups) < len(e.Units()) {
 		t.Fatalf("only %d groups for %d cores", len(groups), len(e.Units()))
 	}

@@ -109,7 +109,7 @@ func GroupByProbe(e *engine.Engine, cfg Config, buckets []*engine.Region) (*Grou
 // running aggregates — random-access hash aggregation (CPU and NMP-rand).
 func groupByHashProbe(e *engine.Engine, cfg Config, buckets []*engine.Region, res *GroupByResult) error {
 	cm := cfg.Costs
-	groups := probeGroups(e, cfg, buckets)
+	groups := probeGroups(e, buckets)
 	tables := make([]*aggTable, len(groups))
 	outs := make([]*engine.Region, len(groups))
 	for g, group := range groups {

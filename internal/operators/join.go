@@ -91,7 +91,7 @@ func JoinProbe(e *engine.Engine, cfg Config, rBuckets, sBuckets []*engine.Region
 // random — the working set the paper's CPU and NMP-rand probes see.
 func joinHashProbe(e *engine.Engine, cfg Config, rBuckets, sBuckets []*engine.Region, res *JoinResult) error {
 	cm := cfg.Costs
-	groups := probeGroups(e, cfg, sBuckets)
+	groups := probeGroups(e, sBuckets)
 	tables := make([]*hashTable, len(groups))
 	outs := make([]*engine.Region, len(groups))
 	for g, group := range groups {

@@ -1,6 +1,7 @@
 package operators
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/ecocloud-go/mondrian/internal/cache"
@@ -390,6 +391,30 @@ func TestHashTableCollisionsAndLookups(t *testing.T) {
 		t.Fatal("found absent key")
 	}
 	e.EndStep()
+}
+
+// mergesortLocal sorts one bucket with the NMP algorithm on one unit:
+// formRuns, then mergePass ping-ponging between the bucket and a
+// same-vault scratch region, the per-bucket sequence sortBuckets runs
+// in lockstep steps. It returns the region holding the sorted result
+// (either r or scratch).
+func mergesortLocal(u *engine.Unit, cm CostModel, r, scratch *engine.Region, simd bool) (*engine.Region, error) {
+	n := r.Len()
+	if scratch.Cap() < n {
+		return nil, fmt.Errorf("operators: scratch capacity %d < %d", scratch.Cap(), n)
+	}
+	if err := formRuns(u, cm, r, simd); err != nil {
+		return nil, err
+	}
+	src, dst := r, scratch
+	for runLen := cm.InitialRunLen; runLen < n; runLen *= cm.MergeFanIn {
+		dst.Reset()
+		if err := mergePass(u, cm, src, dst, runLen, cm.MergeFanIn, simd); err != nil {
+			return nil, err
+		}
+		src, dst = dst, src
+	}
+	return src, nil
 }
 
 func TestMergesortLocalSorts(t *testing.T) {

@@ -89,7 +89,7 @@ func SortProbe(e *engine.Engine, cfg Config, buckets []*engine.Region) (*SortRes
 		// CPU probe: quicksort per probe group (consecutive range
 		// buckets form a contiguous key range, so group-local sorts
 		// still compose to a global order).
-		groups := probeGroups(e, cfg, buckets)
+		groups := probeGroups(e, buckets)
 		e.BeginStep(cm.QuicksortProfile)
 		for g, group := range groups {
 			regions := make([]*engine.Region, len(group))

@@ -20,20 +20,6 @@ import (
 //     region. On Mondrian the runs stream through the stream buffers
 //     (fan-in 8, one buffer per run) and the merge network is SIMD.
 
-// quicksortLocal sorts one bucket with the CPU algorithm. It charges one
-// streaming read of the bucket (which also warms the caches), the compare
-// work, and one write pass.
-func quicksortLocal(u *engine.Unit, cm CostModel, r *engine.Region) {
-	n := r.Len()
-	if n == 0 {
-		return
-	}
-	u.LoadRun(r, 0, n)
-	tuple.SortSliceByKey(r.Tuples)
-	u.Charge(float64(n) * log2ceil(n) * cm.QuicksortInsts)
-	u.StoreRun(r, 0, r.Tuples)
-}
-
 // quicksortSuper sorts the concatenation of several consecutive regions
 // in place (the CPU's probe-group sort): one streaming load of every
 // region, the O(n log n) compare work over the full group working set,
@@ -205,26 +191,4 @@ func mergePass(u *engine.Unit, cm CostModel, src, dst *engine.Region, runLen, fa
 		flush()
 	}
 	return nil
-}
-
-// mergesortLocal sorts one bucket with the NMP algorithm, ping-ponging
-// between the bucket and a same-vault scratch region. It returns the
-// region holding the sorted result (either r or scratch).
-func mergesortLocal(u *engine.Unit, cm CostModel, r, scratch *engine.Region, simd bool) (*engine.Region, error) {
-	n := r.Len()
-	if scratch.Cap() < n {
-		return nil, fmt.Errorf("operators: scratch capacity %d < %d", scratch.Cap(), n)
-	}
-	if err := formRuns(u, cm, r, simd); err != nil {
-		return nil, err
-	}
-	src, dst := r, scratch
-	for runLen := cm.InitialRunLen; runLen < n; runLen *= cm.MergeFanIn {
-		dst.Reset()
-		if err := mergePass(u, cm, src, dst, runLen, cm.MergeFanIn, simd); err != nil {
-			return nil, err
-		}
-		src, dst = dst, src
-	}
-	return src, nil
 }

@@ -33,7 +33,7 @@ type FlightPhase struct {
 
 // FlightRecord is one request's post-mortem record: identity, admission
 // outcome, queue wait, per-phase simulated breakdown, and (with
-// Config.RetainSpans) the span tree behind /trace/{ticket}.
+// Config.Obs) the span tree behind /trace/{ticket}.
 type FlightRecord struct {
 	Ticket       uint64        `json:"ticket"`
 	Tenant       string        `json:"tenant"`
@@ -48,18 +48,16 @@ type FlightRecord struct {
 	WallNs       int64         `json:"wall_ns,omitempty"`
 	Phases       []FlightPhase `json:"phases,omitempty"`
 
-	spans *obs.Span // retained only with Config.RetainSpans
+	spans *obs.Span // retained only with Config.Obs
 }
 
-// capture folds a run's phase timings (and optionally its span tree)
-// into the record before execute strips them off the response.
-func (r *FlightRecord) capture(phases []engine.PhaseTiming, spans *obs.Span, retainSpans bool) {
+// capture folds a run's phase timings and span tree into the record
+// before execute strips them off the response.
+func (r *FlightRecord) capture(phases []engine.PhaseTiming, spans *obs.Span) {
 	for _, ph := range phases {
 		r.Phases = append(r.Phases, FlightPhase{Name: ph.Name, SimNs: ph.SimulatedNs()})
 	}
-	if retainSpans {
-		r.spans = spans
-	}
+	r.spans = spans
 }
 
 // requestOperator spells a request's work item: the operator name, or
@@ -169,7 +167,6 @@ func (s *Scheduler) TraceSpans(ticket uint64) *obs.Span {
 // WindowDur × WindowSlots of traffic.
 type TenantLive struct {
 	Tenant   string `json:"tenant"`
-	Weight   int    `json:"weight"`
 	QueueLen int    `json:"queue_len"`
 
 	Runs    uint64 `json:"runs"`
@@ -186,7 +183,7 @@ type TenantLive struct {
 	LatencyP99Ns   float64 `json:"latency_p99_ns"`
 
 	// ExchangeBytesWindow sums exchange traffic over the window
-	// (populated only with Config.HarvestExchange).
+	// (populated only with Config.Obs).
 	ExchangeBytesWindow float64 `json:"exchange_bytes_window,omitempty"`
 
 	SLOTargetNs     float64 `json:"slo_target_ns"`
@@ -200,12 +197,15 @@ type TenantLive struct {
 func (s *Scheduler) TenantsSnapshot() []TenantLive {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.tenantsLocked()
+}
+
+func (s *Scheduler) tenantsLocked() []TenantLive {
 	s.advanceLocked()
 	out := make([]TenantLive, 0, len(s.tenants))
 	for _, t := range s.tenants {
 		out = append(out, TenantLive{
 			Tenant:              t.name,
-			Weight:              t.weight,
 			QueueLen:            len(t.queue),
 			Runs:                t.runs,
 			Errors:              t.errors,
@@ -228,17 +228,21 @@ func (s *Scheduler) TenantsSnapshot() []TenantLive {
 	return out
 }
 
-// PublishLive refreshes the rolling-window gauges on the configured
-// registry — tenant_queue_wait_p{50,95,99}_ns, tenant_latency_p*_ns,
+// WritePrometheus renders the configured registry in Prometheus text
+// format, with the rolling-window gauges refreshed first —
+// tenant_queue_wait_p{50,95,99}_ns, tenant_latency_p*_ns,
 // tenant_slo_burn_rate, tenant_queue_len, all tenant-labeled — so a
-// Prometheus scrape carries the same live view /tenants serves. Call it
-// just before exporting; a no-op without a registry.
-func (s *Scheduler) PublishLive() {
-	if s.cfg.Obs == nil {
-		return
-	}
+// scrape carries the same live view /tenants serves. The refresh and the
+// snapshot happen under the scheduler mutex; rendering happens after
+// unlocking, so a slow client never blocks dispatch. Writes nothing
+// without a registry.
+func (s *Scheduler) WritePrometheus(w io.Writer) error {
 	reg := s.cfg.Obs
-	for _, t := range s.TenantsSnapshot() {
+	if reg == nil {
+		return nil
+	}
+	s.mu.Lock()
+	for _, t := range s.tenantsLocked() {
 		label := func(name string) string { return obs.Label(name, "tenant", t.Tenant) }
 		reg.Gauge(label("tenant_queue_wait_p50_ns")).Set(t.QueueWaitP50Ns)
 		reg.Gauge(label("tenant_queue_wait_p95_ns")).Set(t.QueueWaitP95Ns)
@@ -249,4 +253,7 @@ func (s *Scheduler) PublishLive() {
 		reg.Gauge(label("tenant_slo_burn_rate")).Set(t.SLOBurnRate)
 		reg.Gauge(label("tenant_queue_len")).Set(float64(t.QueueLen))
 	}
+	snap := reg.Snapshot()
+	s.mu.Unlock()
+	return obs.WritePrometheus(w, snap)
 }

@@ -41,7 +41,7 @@ func TestTicketIDsAreUnique(t *testing.T) {
 
 func TestTenantsSnapshotLivePercentiles(t *testing.T) {
 	reg := obs.NewRegistry()
-	s, _ := newTestScheduler(Config{Workers: 0, Obs: reg, HarvestExchange: true})
+	s, _ := newTestScheduler(Config{Workers: 0, Obs: reg})
 	defer s.Close()
 
 	var tickets []*Ticket
@@ -83,16 +83,15 @@ func TestTenantsSnapshotLivePercentiles(t *testing.T) {
 		t.Fatalf("latency percentiles not live: p50=%g p99=%g", acme.LatencyP50Ns, acme.LatencyP99Ns)
 	}
 	if acme.ExchangeBytesWindow <= 0 {
-		t.Fatalf("exchange window empty with HarvestExchange on")
+		t.Fatalf("exchange window empty with a registry configured")
 	}
 	if acme.SLOGoodFraction != 1 || acme.SLOBurnRate != 0 {
 		t.Fatalf("healthy tenant must have clean SLO: %+v", acme)
 	}
 
-	// PublishLive lands the same view as gauges for /metrics.
-	s.PublishLive()
+	// WritePrometheus lands the same view as gauges for /metrics.
 	var buf bytes.Buffer
-	if err := obs.WritePrometheus(&buf, reg); err != nil {
+	if err := s.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
@@ -213,9 +212,7 @@ func TestFlightRecorderRejectAndDump(t *testing.T) {
 }
 
 func TestTraceSpansServedAndResponseStripped(t *testing.T) {
-	s, _ := newTestScheduler(Config{
-		Workers: 0, Obs: obs.NewRegistry(), RetainSpans: true,
-	})
+	s, _ := newTestScheduler(Config{Workers: 0, Obs: obs.NewRegistry()})
 	defer s.Close()
 	tk, err := s.Submit("a", scanReq(simulate.Mondrian))
 	if err != nil {

@@ -11,18 +11,17 @@
 //     immediately with a typed *ErrAdmission, never parked in an
 //     unbounded overflow queue. Per-tenant queue depth is bounded the
 //     same way.
-//   - Dispatch is weighted fair queueing by stride scheduling: each
-//     tenant advances a virtual-time pass by 1/weight per dispatched
-//     run, and the scheduler always serves the backlogged tenant with
-//     the smallest pass (ties break on tenant name, so the order is
-//     deterministic). Within one tenant, higher Priority first, then
-//     submission order.
+//   - Dispatch is fair queueing by stride scheduling: each tenant
+//     advances a virtual-time pass by one per dispatched run, and the
+//     scheduler always serves the backlogged tenant with the smallest
+//     pass (ties break on tenant name, so the order is deterministic).
+//     Within one tenant, higher Priority first, then submission order.
 //   - Observability is per-tenant: runs, simulated nanoseconds, exchange
 //     bytes, queue-wait histograms and admission rejects land on the
-//     configured registry under a tenant label. Writes happen under the
-//     scheduler mutex; New additionally switches the registry into its
-//     Concurrent() mode so exporters may snapshot it live, while
-//     writers are active (DESIGN.md §17).
+//     configured registry under a tenant label. The scheduler owns that
+//     registry: every write happens under its mutex, and
+//     Scheduler.WritePrometheus snapshots it there and renders after
+//     unlocking (DESIGN.md §17).
 //
 // On top of the cumulative registry the scheduler keeps live state for
 // runtime introspection (DESIGN.md §17): per-tenant rolling windows
@@ -136,14 +135,15 @@ type Config struct {
 	// and running requests) the scheduler will hold at once. 0 means
 	// unlimited.
 	FootprintBudgetBytes int64
-	// Obs, when non-nil, receives the per-tenant service metrics.
+	// Obs, when non-nil, receives the per-tenant service metrics; the
+	// scheduler owns it from New on (read it through WritePrometheus, or
+	// after Close). It also turns on engine-level harvesting: every run
+	// that brings no registry of its own gets a private one, which
+	// populates tenant_exchange_bytes and keeps the run's span tree in
+	// its flight record for /trace/{ticket}. That collection costs real
+	// host time per run, so a throughput-focused deployment leaves Obs
+	// nil.
 	Obs *obs.Registry
-	// HarvestExchange additionally attaches a private engine registry to
-	// every run that does not bring its own, so tenant_exchange_bytes is
-	// populated. Off by default: engine-level metric collection costs
-	// real host time per run, which a throughput-focused deployment
-	// keeps off the hot path.
-	HarvestExchange bool
 
 	// WindowDur is the rotation period of the rolling live windows
 	// (0 = DefaultWindowDur); WindowSlots is the ring length
@@ -167,12 +167,6 @@ type Config struct {
 	// ring on the first admission reject or internal error — the
 	// "what just went wrong" artifact, written at most once.
 	FlightDump io.Writer
-	// RetainSpans keeps each run's span tree in its flight record (and
-	// attaches a private registry like HarvestExchange so spans exist),
-	// serving /trace/{ticket}. Costs engine-metric collection per run
-	// plus the retained trees' memory; responses stay stripped either
-	// way.
-	RetainSpans bool
 
 	// now substitutes the wall clock in tests (nil = time.Now).
 	now func() time.Time
@@ -228,16 +222,15 @@ type item struct {
 // rolling-window aggregation. The windows and the SLO tracker are
 // unsynchronized obs types; the scheduler mutex owns them.
 type tenantState struct {
-	name   string
-	weight int
-	pass   float64
-	queue  []*item
+	name  string
+	pass  uint64
+	queue []*item
 
 	runs, errors, rejects uint64
 
 	qwWin  *obs.Window // queue wait, host ns
 	latWin *obs.Window // simulated latency, ns
-	exWin  *obs.Window // exchange bytes per run (HarvestExchange only)
+	exWin  *obs.Window // exchange bytes per run (with Config.Obs only)
 	slo    *obs.SLOTracker
 }
 
@@ -252,7 +245,7 @@ type Scheduler struct {
 	queued    int
 	footprint int64 // reserved bytes: queued + running requests
 	seq       uint64
-	basePass  float64 // virtual time: pass of the last dispatched tenant
+	basePass  uint64 // virtual time: pass of the last dispatched tenant
 	closed    bool
 	wg        sync.WaitGroup
 
@@ -264,11 +257,8 @@ type Scheduler struct {
 	flightDumped bool           // FlightDump fired already
 }
 
-// New builds a scheduler and starts cfg.Workers workers. A configured
-// obs registry is switched into Concurrent() mode so live exporters
-// (Prometheus scrapes, /tenants) can read it while workers write.
+// New builds a scheduler and starts cfg.Workers workers.
 func New(cfg Config) *Scheduler {
-	cfg.Obs = cfg.Obs.Concurrent()
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
@@ -294,18 +284,6 @@ func footprintBytes(p simulate.Params) int64 {
 		return 0
 	}
 	return int64(p.Cubes) * int64(p.VaultsPer) * p.VaultCapBytes
-}
-
-// SetTenantWeight sets a tenant's fair-share weight (minimum 1; new
-// tenants default to 1). A tenant with weight w receives w times the
-// dispatch share of a weight-1 tenant under contention.
-func (s *Scheduler) SetTenantWeight(tenant string, weight int) {
-	if weight < 1 {
-		weight = 1
-	}
-	s.mu.Lock()
-	s.tenantLocked(tenant).weight = weight
-	s.mu.Unlock()
 }
 
 // Submit enqueues one request for tenant. It returns a Ticket to wait
@@ -411,7 +389,6 @@ func (s *Scheduler) tenantLocked(name string) *tenantState {
 		slots := s.cfg.windowSlots()
 		t = &tenantState{
 			name:   name,
-			weight: 1,
 			qwWin:  obs.NewWindow(slots, queueWaitBounds),
 			latWin: obs.NewWindow(slots, latencyBounds),
 			exWin:  obs.NewWindow(slots, exchangeBytesBounds),
@@ -483,7 +460,7 @@ func (s *Scheduler) popLocked() *item {
 	best.queue = append(best.queue[:bi], best.queue[bi+1:]...)
 	s.queued--
 	s.basePass = best.pass
-	best.pass += 1 / float64(best.weight)
+	best.pass++
 	return it
 }
 
@@ -535,7 +512,7 @@ func (s *Scheduler) execute(it *item) {
 	// byte-identical to a direct simulate.Run of the same request. The
 	// phase/span trees move into the flight record instead of vanishing.
 	var priv *obs.Registry
-	if s.cfg.Obs != nil && (s.cfg.HarvestExchange || s.cfg.RetainSpans) && p.Obs == nil {
+	if s.cfg.Obs != nil && p.Obs == nil {
 		priv = obs.NewRegistry()
 		p.Obs = priv
 	}
@@ -551,7 +528,7 @@ func (s *Scheduler) execute(it *item) {
 		if r != nil {
 			rec.SimNs = r.TotalNs
 			if priv != nil {
-				rec.capture(r.Phases, r.Spans, s.cfg.RetainSpans)
+				rec.capture(r.Phases, r.Spans)
 				r.Phases, r.Spans = nil, nil
 			}
 		}
@@ -561,7 +538,7 @@ func (s *Scheduler) execute(it *item) {
 		if r != nil {
 			rec.SimNs = r.TotalNs
 			if priv != nil {
-				rec.capture(r.Phases, r.Spans, s.cfg.RetainSpans)
+				rec.capture(r.Phases, r.Spans)
 				r.Phases, r.Spans = nil, nil
 			}
 		}
@@ -593,9 +570,8 @@ func (s *Scheduler) execute(it *item) {
 var queueWaitBounds = []float64{1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10}
 
 // accountLocked lands one completed run on the per-tenant metrics: the
-// cumulative registry (serialized by the scheduler mutex, and
-// Concurrent() besides for live readers) plus the rolling windows and
-// SLO tracker the /tenants snapshot serves.
+// cumulative registry plus the rolling windows and SLO tracker the
+// /tenants snapshot serves.
 func (s *Scheduler) accountLocked(it *item, resp *Response, priv *obs.Registry) {
 	s.advanceLocked()
 	t := s.tenantLocked(it.tenant)

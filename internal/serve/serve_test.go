@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"strings"
+	"sync"
 	"testing"
 
 	"github.com/ecocloud-go/mondrian/internal/obs"
@@ -113,25 +117,24 @@ func popOrder(s *Scheduler, n int) []string {
 	return order
 }
 
-func TestWeightedFairOrder(t *testing.T) {
+func TestFairRoundRobinOrder(t *testing.T) {
 	s := New(Config{Workers: 0})
 	defer s.Close()
-	s.SetTenantWeight("a", 2)
-	s.SetTenantWeight("b", 1)
-	for i := 0; i < 4; i++ {
-		if _, err := s.Submit("a", scanReq(simulate.Mondrian)); err != nil {
-			t.Fatal(err)
+	for tenant, n := range map[string]int{"a": 4, "b": 2, "c": 3} {
+		for i := 0; i < n; i++ {
+			if _, err := s.Submit(tenant, scanReq(simulate.Mondrian)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	for i := 0; i < 2; i++ {
-		if _, err := s.Submit("b", scanReq(simulate.Mondrian)); err != nil {
-			t.Fatal(err)
-		}
+	got := popOrder(s, 9)
+	// Every dispatch advances its tenant's pass by one and ties break on
+	// name, so backlogged tenants take turns in name order and a drained
+	// tenant drops out of the rotation.
+	want := []string{"a", "b", "c", "a", "b", "c", "a", "c", "a"}
+	if len(got) != len(want) {
+		t.Fatalf("dispatch order = %v, want %v", got, want)
 	}
-	got := popOrder(s, 6)
-	// Stride scheduling with weights 2:1 — a advances its pass by 1/2
-	// per dispatch, b by 1, ties break on name.
-	want := []string{"a", "b", "a", "a", "b", "a"}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("dispatch order = %v, want %v", got, want)
@@ -223,7 +226,7 @@ func TestCloseCancelsQueued(t *testing.T) {
 // and responses byte-identical to direct simulate calls.
 func TestEndToEndServing(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := New(Config{Workers: 4, Obs: reg, HarvestExchange: true})
+	s := New(Config{Workers: 4, Obs: reg})
 	defer s.Close()
 
 	p := serveParams()
@@ -318,4 +321,130 @@ func TestFootprintBytes(t *testing.T) {
 	if got := footprintBytes(p); got != 0 {
 		t.Fatalf("degenerate footprint = %d, want 0", got)
 	}
+}
+
+// TestConcurrentIntrospection is the -race proof that the scheduler owns
+// its registry: submitters on several goroutines feed four workers while
+// readers scrape WritePrometheus, TenantsSnapshot and FlightRecords, and
+// the final per-tenant run counters equal the completed tickets.
+func TestConcurrentIntrospection(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := New(Config{Workers: 4, Obs: reg})
+	tenants := []string{"t0", "t1", "t2"}
+	const perTenant = 6
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				switch r {
+				case 0:
+					if err := s.WritePrometheus(io.Discard); err != nil {
+						t.Errorf("WritePrometheus: %v", err)
+						return
+					}
+				case 1:
+					_ = s.TenantsSnapshot()
+				case 2:
+					_ = s.FlightRecords()
+				}
+			}
+		}(r)
+	}
+
+	completed := make([]int, len(tenants))
+	var submitters sync.WaitGroup
+	for i, tenant := range tenants {
+		submitters.Add(1)
+		go func(i int, tenant string) {
+			defer submitters.Done()
+			var tickets []*Ticket
+			for j := 0; j < perTenant; j++ {
+				tk, err := s.Submit(tenant, scanReq(simulate.Systems()[j%len(simulate.Systems())]))
+				if err != nil {
+					t.Errorf("submit %s/%d: %v", tenant, j, err)
+					return
+				}
+				tickets = append(tickets, tk)
+			}
+			for _, tk := range tickets {
+				if r := tk.Wait(); r.Err != nil {
+					t.Errorf("%s: %v", tenant, r.Err)
+					continue
+				}
+				completed[i]++
+			}
+		}(i, tenant)
+	}
+	submitters.Wait()
+	close(stop)
+	readers.Wait()
+
+	var buf bytes.Buffer
+	if err := s.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	snap := reg.Snapshot()
+	for i, tenant := range tenants {
+		name := obs.Label("tenant_runs", "tenant", tenant)
+		if got := snap.Counters[name]; got != uint64(completed[i]) || completed[i] != perTenant {
+			t.Errorf("%s = %d, completed tickets = %d, want %d", name, got, completed[i], perTenant)
+		}
+		if want := fmt.Sprintf("%s %d\n", name, perTenant); !strings.Contains(buf.String(), want) {
+			t.Errorf("final scrape missing %q", want)
+		}
+	}
+}
+
+// TestWritePrometheusRendersUnlocked: the scrape renders after releasing
+// the scheduler mutex, so a slow client cannot stall dispatch.
+func TestWritePrometheusRendersUnlocked(t *testing.T) {
+	s := New(Config{Workers: 0, Obs: obs.NewRegistry()})
+	defer s.Close()
+	tk, err := s.Submit("a", scanReq(simulate.Mondrian))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.dispatchNext()
+	tk.Wait()
+	w := &lockProbe{s: s}
+	if err := s.WritePrometheus(w); err != nil {
+		t.Fatal(err)
+	}
+	if w.writes == 0 || w.locked > 0 {
+		t.Fatalf("%d of %d writes ran under the scheduler mutex", w.locked, w.writes)
+	}
+	// Without a registry there is nothing to render.
+	bare := New(Config{Workers: 0})
+	defer bare.Close()
+	var buf bytes.Buffer
+	if err := bare.WritePrometheus(&buf); err != nil || buf.Len() != 0 {
+		t.Fatalf("registry-less scrape: err=%v len=%d", err, buf.Len())
+	}
+}
+
+// lockProbe is a writer that counts the writes made while its
+// scheduler's mutex was held.
+type lockProbe struct {
+	s              *Scheduler
+	writes, locked int
+}
+
+func (p *lockProbe) Write(b []byte) (int, error) {
+	p.writes++
+	if p.s.mu.TryLock() {
+		p.s.mu.Unlock()
+	} else {
+		p.locked++
+	}
+	return len(b), nil
 }

@@ -95,10 +95,11 @@ type FigSeries struct {
 // Fig6Systems are the probe-phase configurations.
 func Fig6Systems() []System { return []System{NMPRand, NMPSeq, Mondrian} }
 
-// Fig6 measures probe-phase speedups over the CPU.
-func (su *Suite) Fig6() ([]FigSeries, error) {
+// vsCPU builds one FigSeries per system, whose Speedups[op] is ratio
+// applied to the CPU's and the system's results for op.
+func (su *Suite) vsCPU(systems []System, ratio func(cpu, r *Result) float64) ([]FigSeries, error) {
 	var out []FigSeries
-	for _, s := range Fig6Systems() {
+	for _, s := range systems {
 		series := FigSeries{System: s, Speedups: make(map[Operator]float64)}
 		for _, op := range Operators() {
 			cpu, err := su.Get(CPU, op)
@@ -109,11 +110,16 @@ func (su *Suite) Fig6() ([]FigSeries, error) {
 			if err != nil {
 				return nil, err
 			}
-			series.Speedups[op] = cpu.ProbeNs / r.ProbeNs
+			series.Speedups[op] = ratio(cpu, r)
 		}
 		out = append(out, series)
 	}
 	return out, nil
+}
+
+// Fig6 measures probe-phase speedups over the CPU.
+func (su *Suite) Fig6() ([]FigSeries, error) {
+	return su.vsCPU(Fig6Systems(), func(cpu, r *Result) float64 { return cpu.ProbeNs / r.ProbeNs })
 }
 
 // Fig7Systems are the end-to-end configurations: the NMP baselines pair
@@ -122,23 +128,7 @@ func Fig7Systems() []System { return []System{NMP, NMPPerm, Mondrian} }
 
 // Fig7 measures overall (partition+probe) speedups over the CPU.
 func (su *Suite) Fig7() ([]FigSeries, error) {
-	var out []FigSeries
-	for _, s := range Fig7Systems() {
-		series := FigSeries{System: s, Speedups: make(map[Operator]float64)}
-		for _, op := range Operators() {
-			cpu, err := su.Get(CPU, op)
-			if err != nil {
-				return nil, err
-			}
-			r, err := su.Get(s, op)
-			if err != nil {
-				return nil, err
-			}
-			series.Speedups[op] = cpu.TotalNs / r.TotalNs
-		}
-		out = append(out, series)
-	}
-	return out, nil
+	return su.vsCPU(Fig7Systems(), func(cpu, r *Result) float64 { return cpu.TotalNs / r.TotalNs })
 }
 
 // Fig8Entry is one system's energy breakdown for one operator.
@@ -168,21 +158,7 @@ func (su *Suite) Fig8() ([]Fig8Entry, error) {
 
 // Fig9 measures efficiency (performance per energy) improvement vs CPU.
 func (su *Suite) Fig9() ([]FigSeries, error) {
-	var out []FigSeries
-	for _, s := range []System{NMP, NMPPerm, Mondrian} {
-		series := FigSeries{System: s, Speedups: make(map[Operator]float64)}
-		for _, op := range Operators() {
-			cpu, err := su.Get(CPU, op)
-			if err != nil {
-				return nil, err
-			}
-			r, err := su.Get(s, op)
-			if err != nil {
-				return nil, err
-			}
-			series.Speedups[op] = r.Efficiency() / cpu.Efficiency()
-		}
-		out = append(out, series)
-	}
-	return out, nil
+	return su.vsCPU([]System{NMP, NMPPerm, Mondrian}, func(cpu, r *Result) float64 {
+		return r.Efficiency() / cpu.Efficiency()
+	})
 }
