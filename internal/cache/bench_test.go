@@ -32,3 +32,17 @@ func BenchmarkLLCAccessRandom(b *testing.B) {
 		c.Access((addr>>20)&0x3ffffff8, i&1 == 0)
 	}
 }
+
+// BenchmarkAccessRandomHits drives the L1 with random reads inside a
+// 16 KB footprint: nearly every access hits, in a random set and way, so
+// the cost is the lookup and the recency update of a hit whose way is
+// data-dependent.
+func BenchmarkAccessRandomHits(b *testing.B) {
+	c := New(L1D32K())
+	addr := int64(12345)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		addr = addr*6364136223846793005 + 1
+		c.Access((addr>>20)&(16<<10-8), false)
+	}
+}

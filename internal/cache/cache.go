@@ -44,28 +44,40 @@ type Stats struct {
 	PrefetchHits   uint64 // demand hits on prefetched-not-yet-used lines
 }
 
-// setState is one set's fill level. Lines are only ever invalidated
-// all at once (Reset, Flush), and a fill always takes the first invalid
-// way, so the valid lines of a set are exactly ways [0, n). gen stamps
-// the Cache generation n was last written in: a set whose stamp is stale
-// is empty, so Reset and Flush invalidate the whole cache by bumping the
-// generation instead of clearing every line (pooled engines reset
-// between every run — an O(size) wipe there is the difference between a
-// cheap lifecycle and re-zeroing megabytes per query).
+// setState is one set: its fill level, its recency order and its line
+// flags. Lines are only ever invalidated all at once (Reset, Flush), and
+// a fill always takes the first invalid way, so the valid lines of a set
+// are exactly ways [0, n). gen stamps the Cache generation the set was
+// last written in: a set whose stamp is stale is empty, so Reset and
+// Flush invalidate the whole cache by bumping the generation instead of
+// clearing every line (pooled engines reset between every run — an
+// O(size) wipe there is the difference between a cheap lifecycle and
+// re-zeroing megabytes per query).
+//
+// order lists the n valid ways, four bits each, most recently used in
+// the lowest nibble: the replacement victim is the last one. It is the
+// order of a per-line last-use tick, the lowest way first among equal
+// ticks. Every demand access takes a tick of its own, so only the fills
+// of one miss (the demand block and its prefetches) can share one; they
+// sit at the front of the order, highest way first. fill is the tick of
+// the set's last fill and tied how many of the leading ways it filled.
 type setState struct {
-	gen uint64
-	n   int
+	gen   uint64
+	order uint64
+	fill  uint64
+	n     uint8
+	tied  uint8
+	dirty uint16 // bit w: way w holds a dirty line
+	pref  uint16 // bit w: way w holds a prefetched, not yet used line
 }
 
-// Line flag bits.
-const (
-	flagDirty uint8 = 1 << iota
-	flagPrefetched
-)
+// maxWays bounds the associativity: a set's recency order packs four-bit
+// way numbers into one uint64, and its flags are 16-bit masks.
+const maxWays = 16
 
-// Cache is one set-associative cache level. Lines are stored as
-// structure-of-arrays, indexed set*Ways+way: a lookup scans one dense
-// run of tags, and LRU victim selection one dense run of lastUse stamps.
+// Cache is one set-associative cache level. Tags are stored densely,
+// indexed set*Ways+way, so a lookup scans one run of words; everything
+// else a line has lives packed in its set's state.
 type Cache struct {
 	cfg   Config
 	nsets int
@@ -73,10 +85,8 @@ type Cache struct {
 	tick  uint64
 	stats Stats
 
-	sets    []setState
-	tags    []int64
-	lastUse []uint64
-	flags   []uint8
+	sets []setState
+	tags []int64
 
 	// Shift/mask forms of the block and set arithmetic, valid when both
 	// BlockBytes and the set count are powers of two (every modeled
@@ -87,17 +97,30 @@ type Cache struct {
 	setShift   uint
 	setMask    int64 // nsets-1
 
+	// mruSet, mruTag and mruWay name the line the latest hit touched, or
+	// no line (mruSet -1) once anything else was touched or filled since:
+	// that line is still the front of its set's order with its prefetch
+	// bit clear, so a repeated hit on it (successive tuples of one block)
+	// changes nothing but its dirty bit.
+	mruSet int
+	mruTag int64
+	mruWay int
+
 	// scratch backs the traffic list Access returns, so the steady-state
 	// access path performs zero heap allocations. It is overwritten by
 	// the next Access call.
 	scratch RunResult
 }
 
-// Validate checks that the geometry holds at least one full set.
+// Validate checks that the geometry holds at least one full set of at
+// most 16 ways.
 func (cfg Config) Validate() error {
 	if cfg.SizeBytes <= 0 || cfg.Ways <= 0 || cfg.BlockBytes <= 0 {
 		return fmt.Errorf("cache: size, ways and block bytes must be positive, got %d B, %d ways, %d B blocks",
 			cfg.SizeBytes, cfg.Ways, cfg.BlockBytes)
+	}
+	if cfg.Ways > maxWays {
+		return fmt.Errorf("cache: %d ways exceed the modelled maximum of %d", cfg.Ways, maxWays)
 	}
 	if cfg.SizeBytes/(cfg.Ways*cfg.BlockBytes) == 0 {
 		return fmt.Errorf("cache: %d B holds fewer than one set of %d ways × %d B blocks",
@@ -115,11 +138,9 @@ func New(cfg Config) *Cache {
 	nsets := cfg.SizeBytes / (cfg.Ways * cfg.BlockBytes)
 	lines := nsets * cfg.Ways
 	c := &Cache{
-		cfg: cfg, nsets: nsets, gen: 1,
-		sets:    make([]setState, nsets),
-		tags:    make([]int64, lines),
-		lastUse: make([]uint64, lines),
-		flags:   make([]uint8, lines),
+		cfg: cfg, nsets: nsets, gen: 1, mruSet: -1,
+		sets: make([]setState, nsets),
+		tags: make([]int64, lines),
 	}
 	if isPow2(cfg.BlockBytes) && isPow2(nsets) {
 		c.pow2 = true
@@ -161,6 +182,7 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 // a fresh New(cfg). The reusable scratch buffers keep their capacity.
 func (c *Cache) Reset() {
 	c.gen++
+	c.mruSet = -1
 	c.tick = 0
 	c.stats = Stats{}
 }
@@ -170,21 +192,23 @@ func (c *Cache) Reset() {
 func (c *Cache) Flush() []int64 {
 	var wbs []int64
 	for si := range c.sets {
-		for i := si * c.cfg.Ways; i < si*c.cfg.Ways+c.valid(si); i++ {
-			if c.flags[i]&flagDirty != 0 {
-				wbs = append(wbs, c.blockAddr(si, c.tags[i]))
+		dirty := c.sets[si].dirty
+		for w := 0; w < c.valid(si); w++ {
+			if dirty&(1<<w) != 0 {
+				wbs = append(wbs, c.blockAddr(si, c.tags[si*c.cfg.Ways+w]))
 				c.stats.DirtyEvictions++
 			}
 		}
 	}
 	c.gen++
+	c.mruSet = -1
 	return wbs
 }
 
 // valid returns how many ways of set hold live lines (a prefix).
 func (c *Cache) valid(set int) int {
-	if st := c.sets[set]; st.gen == c.gen {
-		return st.n
+	if st := &c.sets[set]; st.gen == c.gen {
+		return int(st.n)
 	}
 	return 0
 }
@@ -260,9 +284,17 @@ func (c *Cache) accessOps(addr int64, write bool, res *RunResult) bool {
 	c.tick++
 	c.stats.Accesses++
 	set, tag := c.index(addr)
-	if i := c.lookup(set, tag); i >= 0 {
+	if set == c.mruSet && tag == c.mruTag {
 		c.stats.Hits++
-		c.touch(i, write)
+		if write {
+			c.sets[set].dirty |= 1 << c.mruWay
+		}
+		return true
+	}
+	if w := c.lookup(set, tag); w >= 0 {
+		c.stats.Hits++
+		c.touch(&c.sets[set], w, write)
+		c.mruSet, c.mruTag, c.mruWay = set, tag, w
 		return true
 	}
 	// Demand miss: allocate.
@@ -291,20 +323,38 @@ func (c *Cache) accessOps(addr int64, write bool, res *RunResult) bool {
 	return false
 }
 
-// touch records a demand hit on line i: the LRU stamp moves to the
-// current tick, a write dirties the line, and the first demand use of a
-// prefetched line counts as a prefetch hit.
-func (c *Cache) touch(i int, write bool) {
-	f := c.flags[i]
-	if f&flagPrefetched != 0 {
+// touch records a demand hit on way w of set st: the way moves to the
+// front of the recency order (the hit's tick is the newest), a write
+// dirties the line, and the first demand use of a prefetched line counts
+// as a prefetch hit. Where the way sits in the order is data-dependent,
+// so the order update does not branch on it. The caller records the
+// line as the latest hit (mruSet, mruTag, mruWay).
+func (c *Cache) touch(st *setState, w int, write bool) {
+	if st.pref>>w&1 != 0 {
 		c.stats.PrefetchHits++
-		f &^= flagPrefetched
+		st.pref &^= 1 << w
 	}
 	if write {
-		f |= flagDirty
+		st.dirty |= 1 << w
 	}
-	c.flags[i] = f
-	c.lastUse[i] = c.tick
+	st.order = c.toFront(st.order, w)
+}
+
+// toFront moves way w, which order holds, to the front of order: the
+// nibbles before it shift back by one. In a 2-way set the result is w,
+// then the other way (a nibble past the fill level is never read). In
+// general the lowest nibble equal to w is the lowest zero nibble of
+// order^w·0x11…1, whose top bit the borrow test sets exactly (borrows
+// only flag higher nibbles); when w is already in front the result is
+// order itself.
+func (c *Cache) toFront(order uint64, w int) uint64 {
+	if c.cfg.Ways == 2 {
+		return uint64(w) | uint64(w^1)<<4
+	}
+	x := order ^ uint64(w)*0x1111111111111111
+	f := (x - 0x1111111111111111) &^ x & 0x8888888888888888
+	from := -(f & -f >> 3) // the nibbles from w's up
+	return order&(from<<4) | (order&^from)<<4 | uint64(w)
 }
 
 // AccessRun performs count sequential demand accesses of stride bytes
@@ -338,17 +388,18 @@ func (c *Cache) AccessRun(addr int64, stride, count int, write bool, res *RunRes
 		}
 		if k > 1 {
 			set, tag := c.index(addr)
-			if i := c.lookup(set, tag); i >= 0 {
+			if w := c.lookup(set, tag); w >= 0 {
 				// The block survived its own prefetches (always, outside
 				// pathologically tiny configurations): the remaining k-1
 				// accesses are hits. Batch their bookkeeping; the final
-				// lastUse/dirty state equals k-1 individual hit updates.
+				// recency/dirty state equals k-1 individual hit updates.
 				m := uint64(k - 1)
 				c.tick += m
 				c.stats.Accesses += m
 				c.stats.Hits += m
 				res.Hits += m
-				c.touch(i, write)
+				c.touch(&c.sets[set], w, write)
+				c.mruSet, c.mruTag, c.mruWay = set, tag, w
 			} else {
 				// The demand line was evicted by its own prefetch inserts:
 				// replay the remaining accesses one by one.
@@ -376,65 +427,79 @@ func (c *Cache) AccessHitRun(addr int64, count int, write bool) bool {
 		return true
 	}
 	set, tag := c.index(addr)
-	i := c.lookup(set, tag)
-	if i < 0 {
+	w := c.lookup(set, tag)
+	if w < 0 {
 		return false
 	}
 	m := uint64(count)
 	c.tick += m
 	c.stats.Accesses += m
 	c.stats.Hits += m
-	c.touch(i, write)
+	c.touch(&c.sets[set], w, write)
+	c.mruSet, c.mruTag, c.mruWay = set, tag, w
 	return true
 }
 
-// lookup returns the line index holding (set, tag), or -1, updating
-// nothing.
+// lookup returns the way holding (set, tag), or -1, updating nothing.
 func (c *Cache) lookup(set int, tag int64) int {
 	base := set * c.cfg.Ways
-	for i, t := range c.tags[base : base+c.valid(set)] {
+	for w, t := range c.tags[base : base+c.valid(set)] {
 		if t == tag {
-			return base + i
+			return w
 		}
 	}
 	return -1
 }
 
 // insert allocates a line for (set, tag): the first invalid way, else
-// the least recently used one (the lowest way on ties). It returns the
-// writeback block address if the victim was dirty.
+// the last way of the recency order (the least recently used one, the
+// lowest way on ties). It returns the writeback block address if the
+// victim was dirty.
 func (c *Cache) insert(set int, tag int64, dirty, prefetched bool) (writeback int64, dirtyEvict bool) {
-	base := set * c.cfg.Ways
+	c.mruSet = -1
 	st := &c.sets[set]
 	if st.gen != c.gen {
-		st.gen, st.n = c.gen, 0
+		*st = setState{gen: c.gen}
 	}
-	var v int
-	if st.n < c.cfg.Ways {
-		v = base + st.n
+	tied := 0
+	if st.fill == c.tick {
+		tied = int(st.tied)
+	}
+	order := st.order
+	var w int
+	if int(st.n) < c.cfg.Ways {
+		w = int(st.n) // above every valid way, so it goes to the front
 		st.n++
 	} else {
-		lru := c.lastUse[base : base+c.cfg.Ways]
-		w := 0
-		for i, t := range lru {
-			if t < lru[w] {
-				w = i
-			}
+		last := uint(4 * (c.cfg.Ways - 1))
+		w = int(order >> last & 15)
+		order &= 1<<last - 1
+		if tied == c.cfg.Ways {
+			tied-- // the victim was one of this tick's fills
 		}
-		v = base + w
-		if c.flags[v]&flagDirty != 0 {
-			writeback = c.blockAddr(set, c.tags[v])
+		if st.dirty&(1<<w) != 0 {
+			writeback = c.blockAddr(set, c.tags[set*c.cfg.Ways+w])
 			dirtyEvict = true
 			c.stats.DirtyEvictions++
 		}
 	}
-	var f uint8
+	// Same-tick fills stay in descending way order at the front.
+	p := uint(0)
+	for int(p) < 4*tied && int(order>>p&15) > w {
+		p += 4
+	}
+	below := uint64(1)<<p - 1
+	st.order = order&below | uint64(w)<<p | (order&^below)<<4
+	st.fill, st.tied = c.tick, uint8(tied+1)
+	bit := uint16(1) << w
+	st.dirty &^= bit
+	st.pref &^= bit
 	if dirty {
-		f |= flagDirty
+		st.dirty |= bit
 	}
 	if prefetched {
-		f |= flagPrefetched
+		st.pref |= bit
 	}
-	c.tags[v], c.lastUse[v], c.flags[v] = tag, c.tick, f
+	c.tags[set*c.cfg.Ways+w] = tag
 	return writeback, dirtyEvict
 }

@@ -198,19 +198,22 @@ func TestNewPanicsOnBadConfig(t *testing.T) {
 }
 
 // TestConfigValidate pins the geometries New refuses: non-positive
-// dimensions and sizes below one full set.
+// dimensions, sizes below one full set, and more ways than a set's
+// packed recency order holds.
 func TestConfigValidate(t *testing.T) {
 	for _, cfg := range []Config{
 		{},
 		{SizeBytes: 4096, Ways: 0, BlockBytes: 64},
 		{SizeBytes: 4096, Ways: 2, BlockBytes: -64},
 		{SizeBytes: 100, Ways: 2, BlockBytes: 64},
+		{SizeBytes: 64 * 17, Ways: 17, BlockBytes: 64},
+		{SizeBytes: 4 << 20, Ways: 32, BlockBytes: 64},
 	} {
 		if cfg.Validate() == nil {
 			t.Errorf("Validate(%+v) accepted an impossible geometry", cfg)
 		}
 	}
-	for _, cfg := range []Config{L1D32K(), LLC4M(), {SizeBytes: 128, Ways: 2, BlockBytes: 64}} {
+	for _, cfg := range []Config{L1D32K(), LLC4M(), {SizeBytes: 128, Ways: 2, BlockBytes: 64}, {SizeBytes: 64 * 16, Ways: 16, BlockBytes: 64}} {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("Validate(%+v) = %v", cfg, err)
 		}
@@ -241,7 +244,7 @@ func TestCacheInvariantsProperty(t *testing.T) {
 
 // refCache is a direct array-of-lines model of the replacement policy —
 // first invalid way, else the lowest lastUse, the lowest way on ties —
-// kept as the oracle for the flat structure-of-arrays sets.
+// kept as the oracle for the packed sets.
 type refCache struct {
 	cfg   Config
 	sets  [][]refLine
@@ -330,31 +333,109 @@ func (r *refCache) access(addr int64, write bool) []RunOp {
 	return append(ops, wbs...)
 }
 
+// accessRun is AccessRun as count single accesses.
+func (r *refCache) accessRun(addr int64, stride, count int, write bool) (hits, misses uint64, ops []RunOp) {
+	for i := 0; i < count; i++ {
+		o := r.access(addr+int64(i*stride), write)
+		if len(o) == 0 {
+			hits++
+		} else {
+			misses++
+		}
+		ops = append(ops, o...)
+	}
+	return hits, misses, ops
+}
+
+// accessHitRun is AccessHitRun: count hits if addr's block is resident,
+// else nothing.
+func (r *refCache) accessHitRun(addr int64, count int, write bool) bool {
+	if _, _, l := r.find(addr); l == nil {
+		return false
+	}
+	for i := 0; i < count; i++ {
+		r.access(addr, write)
+	}
+	return true
+}
+
+// flush invalidates every line, returning the dirty blocks in set and
+// way order.
+func (r *refCache) flush() []int64 {
+	var wbs []int64
+	for si, set := range r.sets {
+		for i := range set {
+			if set[i].valid && set[i].dirty {
+				blk := set[i].tag*int64(len(r.sets)) + int64(si)
+				wbs = append(wbs, blk*int64(r.cfg.BlockBytes))
+				r.stats.DirtyEvictions++
+			}
+			set[i] = refLine{}
+		}
+	}
+	return wbs
+}
+
 // TestFlatSetsMatchReference replays random streams with hot and
-// far-field addresses through the cache and the array-of-lines oracle:
-// every traffic list (victim choice, writeback order) and the final
-// statistics agree, including across a Reset.
+// far-field addresses through the cache and the array-of-lines oracle,
+// mixing single accesses with AccessRun, AccessHitRun and Flush calls:
+// every traffic list (victim choice, writeback order), run tally, flush
+// list and the final statistics agree, including across a Reset. The
+// geometries cover the L1 and the LLC, both TLB levels, the divide path,
+// and set counts at or below the prefetch degree, where one miss's fills
+// share a tick within one set.
 func TestFlatSetsMatchReference(t *testing.T) {
 	for _, cfg := range []Config{
 		{SizeBytes: 2048, Ways: 4, BlockBytes: 64, PrefetchDegree: 2},
 		{SizeBytes: 3 * 64 * 8, Ways: 8, BlockBytes: 64, PrefetchDegree: 1}, // 3 sets: divide path
 		{SizeBytes: 4 * 64 * 2, Ways: 4, BlockBytes: 64, PrefetchDegree: 3}, // LRU ties within a set
+		{SizeBytes: 3 * 64 * 2, Ways: 2, BlockBytes: 64, PrefetchDegree: 3}, // 3 sets = degree
+		{SizeBytes: 64 * 2, Ways: 2, BlockBytes: 64, PrefetchDegree: 3},     // one set: a fill evicts a tied fill
+		{SizeBytes: 64 * 16, Ways: 16, BlockBytes: 64, PrefetchDegree: 3},   // one 16-way set
+		{SizeBytes: 16 * 64 * 16, Ways: 16, BlockBytes: 64},                 // LLC sets, few of them
+		{SizeBytes: 64 * 4096, Ways: 4, BlockBytes: 4096},                   // L1 TLB
+		{SizeBytes: 1024 * 4096, Ways: 8, BlockBytes: 4096},                 // L2 TLB
 		L1D32K(),
+		LLC4M(),
 	} {
 		c := New(cfg)
 		rng := rand.New(rand.NewSource(int64(cfg.SizeBytes)))
+		n := max(20000, 4*cfg.SizeBytes/cfg.BlockBytes)
+		var res RunResult
 		for round := 0; round < 2; round++ {
 			ref := newRef(cfg)
-			for i := 0; i < 20000; i++ {
+			for i := 0; i < n; i++ {
 				addr := rng.Int63n(int64(cfg.SizeBytes) * 4)
 				if rng.Intn(8) == 0 {
 					addr = rng.Int63n(1 << 30)
 				}
 				write := rng.Intn(3) == 0
-				want := ref.access(addr, write)
-				got := c.Access(addr, write)
-				if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
-					t.Fatalf("%+v round %d access %d (%#x): traffic %v, want %v", cfg, round, i, addr, got, want)
+				switch op := rng.Intn(100); {
+				case op < 8:
+					stride := 8 << rng.Intn(4)
+					addr = addr / int64(stride) * int64(stride)
+					count := 1 + rng.Intn(3*cfg.BlockBytes/stride)
+					hits, misses, want := ref.accessRun(addr, stride, count, write)
+					c.AccessRun(addr, stride, count, write, &res)
+					if res.Hits != hits || res.Misses != misses || len(res.Ops) != len(want) || (len(want) > 0 && !reflect.DeepEqual(res.Ops, want)) {
+						t.Fatalf("%+v round %d run %d (%#x×%d/%d): %d/%d %v, want %d/%d %v",
+							cfg, round, i, addr, count, stride, res.Hits, res.Misses, res.Ops, hits, misses, want)
+					}
+				case op < 12:
+					count := 1 + rng.Intn(5)
+					if got, want := c.AccessHitRun(addr, count, write), ref.accessHitRun(addr, count, write); got != want {
+						t.Fatalf("%+v round %d hit run %d (%#x): %v, want %v", cfg, round, i, addr, got, want)
+					}
+				case op == 12 && rng.Intn(50) == 0:
+					if got, want := c.Flush(), ref.flush(); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%+v round %d flush %d: %v, want %v", cfg, round, i, got, want)
+					}
+				default:
+					want := ref.access(addr, write)
+					got := c.Access(addr, write)
+					if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+						t.Fatalf("%+v round %d access %d (%#x): traffic %v, want %v", cfg, round, i, addr, got, want)
+					}
 				}
 			}
 			if c.Stats() != ref.stats {

@@ -390,7 +390,33 @@ func (e *Engine) AllocOut(vaultID, capTuples int) (*Region, error) {
 	return e.allocRegion(vaultID, nil, capTuples)
 }
 
+// AllocOutRoundRobin reserves n empty output regions of capTuples each,
+// region i in vault i mod NumVaults, exactly as n AllocOut calls in index
+// order would, with the n region headers carved from one allocation (the
+// CPU's partition buckets number 2^16 per relation).
+func (e *Engine) AllocOutRoundRobin(n, capTuples int) ([]*Region, error) {
+	headers := make([]Region, n)
+	out := make([]*Region, n)
+	for i := range headers {
+		if err := e.initRegion(&headers[i], i%e.NumVaults(), nil, capTuples); err != nil {
+			return nil, err
+		}
+		out[i] = &headers[i]
+	}
+	return out, nil
+}
+
 func (e *Engine) allocRegion(vaultID int, ts []tuple.Tuple, capTuples int) (*Region, error) {
+	r := new(Region)
+	if err := e.initRegion(r, vaultID, ts, capTuples); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// initRegion reserves the simulated memory of r in the given vault and
+// fills its header.
+func (e *Engine) initRegion(r *Region, vaultID int, ts []tuple.Tuple, capTuples int) error {
 	v := e.Sys.Vault(vaultID)
 	if capTuples < len(ts) {
 		capTuples = len(ts)
@@ -401,13 +427,13 @@ func (e *Engine) allocRegion(vaultID int, ts []tuple.Tuple, capTuples int) (*Reg
 	}
 	addr, err := v.Alloc(n, int64(e.cfg.Geometry.RowBytes))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	r := &Region{Vault: v, Addr: addr, cap: capTuples}
+	*r = Region{Vault: v, Addr: addr, cap: capTuples}
 	if ts != nil {
 		r.Tuples = append(r.Tuples, ts...)
 	}
-	return r, nil
+	return nil
 }
 
 // UnitForVault returns the compute unit co-located with vault v

@@ -14,16 +14,29 @@ import "fmt"
 // Mesh models one cube's 2D mesh NoC with XY routing.
 type Mesh struct {
 	Width, Height int
-	LinkBytes     int     // flit width in bytes (16 B in the paper)
-	CyclesPerHop  int     // router+link latency per hop (3 in the paper)
-	FreqGHz       float64 // NoC clock (1 GHz, matching the logic layer)
-	HopMM         float64 // physical length of one hop in millimetres
+	linkBytes     int     // flit width in bytes (16 B in the paper)
+	cyclesPerHop  int     // router+link latency per hop (3 in the paper)
+	freqGHz       float64 // NoC clock (1 GHz, matching the logic layer)
+	hopMM         float64 // physical length of one hop in millimetres
 
 	stats MeshStats
 
 	// hops[src*tiles+dst] caches the XY hop counts (the mesh is small —
 	// 16 tiles — and Hops sits on the per-access simulation path).
 	hops []uint8
+
+	// costs[h] is what one costSize-byte message over h hops adds, for
+	// every h up to the mesh diameter. Transfer recomputes the table when
+	// the message size changes; the LLC's traffic is all one block size.
+	costSize int
+	costs    []hopCost
+}
+
+// hopCost is one message's latency and its additions to the link busy
+// time and the bit-millimetre energy basis, computed by the same
+// expressions, in the same order, as a per-call evaluation would.
+type hopCost struct {
+	lat, busyNs, bitMM float64
 }
 
 // MaxHopBucket bounds the per-hop message histogram in MeshStats; longer
@@ -67,7 +80,8 @@ func NewMesh(w, h int) *Mesh {
 	if w <= 0 || h <= 0 {
 		panic("noc: mesh dimensions must be positive")
 	}
-	m := &Mesh{Width: w, Height: h, LinkBytes: 16, CyclesPerHop: 3, FreqGHz: 1, HopMM: 1}
+	m := &Mesh{Width: w, Height: h, linkBytes: 16, cyclesPerHop: 3, freqGHz: 1, hopMM: 1,
+		costs: make([]hopCost, w+h-1)}
 	tiles := w * h
 	m.hops = make([]uint8, tiles*tiles)
 	for s := 0; s < tiles; s++ {
@@ -93,12 +107,7 @@ func (m *Mesh) Hops(src, dst int) int {
 	if src < 0 || src >= tiles || dst < 0 || dst >= tiles {
 		panic(fmt.Sprintf("noc: tile out of range (src=%d dst=%d tiles=%d)", src, dst, tiles))
 	}
-	if m.hops != nil {
-		return int(m.hops[src*tiles+dst])
-	}
-	sx, sy := src%m.Width, src/m.Width
-	dx, dy := dst%m.Width, dst/m.Width
-	return abs(sx-dx) + abs(sy-dy)
+	return int(m.hops[src*tiles+dst])
 }
 
 // Transfer accounts for moving size bytes from src to dst and returns the
@@ -109,20 +118,36 @@ func (m *Mesh) Transfer(src, dst, size int) float64 {
 		panic("noc: transfer size must be positive")
 	}
 	hops := m.Hops(src, dst)
+	if size != m.costSize {
+		m.fillCosts(size)
+	}
+	c := &m.costs[hops]
 	m.stats.Messages++
 	m.stats.Bytes += uint64(size)
-	m.stats.BitMM += float64(size*8) * float64(hops) * m.HopMM
+	m.stats.BitMM += c.bitMM
 	m.stats.countHops(hops, 1)
-	flits := (size + m.LinkBytes - 1) / m.LinkBytes
-	cycleNs := 1.0 / m.FreqGHz
-	// Head latency: hops × cyclesPerHop; body streams behind at one flit
-	// per cycle (wormhole routing).
-	lat := float64(hops*m.CyclesPerHop)*cycleNs + float64(flits-1)*cycleNs
-	if hops == 0 {
-		lat = float64(flits-1) * cycleNs
+	m.stats.BusyNs += c.busyNs
+	return c.lat
+}
+
+// fillCosts computes the per-hop costs of a size-byte message.
+func (m *Mesh) fillCosts(size int) {
+	flits := (size + m.linkBytes - 1) / m.linkBytes
+	cycleNs := 1.0 / m.freqGHz
+	for hops := range m.costs {
+		// Head latency: hops × cyclesPerHop; body streams behind at one
+		// flit per cycle (wormhole routing).
+		lat := float64(hops*m.cyclesPerHop)*cycleNs + float64(flits-1)*cycleNs
+		if hops == 0 {
+			lat = float64(flits-1) * cycleNs
+		}
+		m.costs[hops] = hopCost{
+			lat:    lat,
+			busyNs: float64(flits) * cycleNs * float64(max(hops, 1)),
+			bitMM:  float64(size*8) * float64(hops) * m.hopMM,
+		}
 	}
-	m.stats.BusyNs += float64(flits) * cycleNs * float64(max(hops, 1))
-	return lat
+	m.costSize = size
 }
 
 // RecordBulk accounts for n identical size-byte messages from src to dst
@@ -139,10 +164,10 @@ func (m *Mesh) RecordBulk(src, dst, size int, n uint64) {
 	hops := m.Hops(src, dst)
 	m.stats.Messages += n
 	m.stats.Bytes += uint64(size) * n
-	m.stats.BitMM += float64(size*8) * float64(hops) * m.HopMM * float64(n)
+	m.stats.BitMM += float64(size*8) * float64(hops) * m.hopMM * float64(n)
 	m.stats.countHops(hops, n)
-	flits := (size + m.LinkBytes - 1) / m.LinkBytes
-	cycleNs := 1.0 / m.FreqGHz
+	flits := (size + m.linkBytes - 1) / m.linkBytes
+	cycleNs := 1.0 / m.freqGHz
 	m.stats.BusyNs += float64(flits) * cycleNs * float64(max(hops, 1)) * float64(n)
 }
 

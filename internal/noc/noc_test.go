@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -222,5 +223,38 @@ func TestMeshBusyAccumulates(t *testing.T) {
 	m.Transfer(0, 15, 256)
 	if m.Stats().BusyNs != 2*first {
 		t.Fatalf("busy not additive: %v then %v", first, m.Stats().BusyNs)
+	}
+}
+
+// TestMeshTransferMatchesPerCallCosts replays messages of alternating
+// sizes between every tile pair of a square and a non-square mesh: the
+// latency Transfer returns and the busy time and bit-millimetres it
+// accumulates equal, bit for bit, the per-message expressions evaluated
+// in the same order.
+func TestMeshTransferMatchesPerCallCosts(t *testing.T) {
+	for _, dims := range [][2]int{{4, 4}, {3, 5}} {
+		m := NewMesh(dims[0], dims[1])
+		var busy, bitMM float64
+		for _, size := range []int{64, 64, 16, 1, 17, 64, 100, 8, 64} {
+			for src := 0; src < m.Tiles(); src++ {
+				for dst := 0; dst < m.Tiles(); dst++ {
+					hops := m.Hops(src, dst)
+					flits := (size + 16 - 1) / 16
+					cycleNs := 1.0 / 1.0
+					want := float64(hops*3)*cycleNs + float64(flits-1)*cycleNs
+					if hops == 0 {
+						want = float64(flits-1) * cycleNs
+					}
+					busy += float64(flits) * cycleNs * float64(max(hops, 1))
+					bitMM += float64(size*8) * float64(hops) * 1.0
+					if got := m.Transfer(src, dst, size); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%v mesh %d→%d, %d B: latency %v, want %v", dims, src, dst, size, got, want)
+					}
+					if s := m.Stats(); math.Float64bits(s.BusyNs) != math.Float64bits(busy) || math.Float64bits(s.BitMM) != math.Float64bits(bitMM) {
+						t.Fatalf("%v mesh %d→%d, %d B: busy %v bit-mm %v, want %v %v", dims, src, dst, size, s.BusyNs, s.BitMM, busy, bitMM)
+					}
+				}
+			}
+		}
 	}
 }

@@ -1,7 +1,7 @@
 package operators
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/ecocloud-go/mondrian/internal/engine"
 	"github.com/ecocloud-go/mondrian/internal/tuple"
@@ -148,15 +148,16 @@ func groupByHashProbe(e *engine.Engine, cfg Config, buckets []*engine.Region, re
 		// but the emitted tuple order must be deterministic because plan
 		// execution feeds these regions into downstream operators, whose
 		// access patterns follow the content.
-		keys := make([]tuple.Key, 0, len(tables[g].groups))
-		for key := range tables[g].groups {
-			keys = append(keys, key)
+		groups := tables[g].groups
+		keys := make([]tuple.Key, groups.Len())
+		for i := range keys {
+			keys[i], _ = groups.At(i)
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		slices.Sort(keys)
 		outs[g].Reserve(len(keys) * int(numAggs))
 		for _, key := range keys {
 			u.Charge(float64(numAggs) * 2)
-			emitGroup(u, outs[g], key, tables[g].groups[key])
+			emitGroup(u, outs[g], key, groups.Find(key))
 			nGroups[g]++
 		}
 		return nil

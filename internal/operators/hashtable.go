@@ -80,7 +80,7 @@ func (h *hashTable) lookup(u *engine.Unit, k tuple.Key) (tuple.Tuple, bool) {
 type aggTable struct {
 	base   int64
 	slots  uint64
-	groups map[tuple.Key]*Aggregates
+	groups *tuple.KeyTable[Aggregates]
 }
 
 // Aggregates holds the paper's six Group-by aggregation functions
@@ -91,6 +91,19 @@ type Aggregates struct {
 	Min   uint64
 	Max   uint64
 	SumSq uint64
+}
+
+// fold adds one value to the running aggregates.
+func (a *Aggregates) fold(v uint64) {
+	a.Count++
+	a.Sum += v
+	a.SumSq += v * v
+	if v < a.Min {
+		a.Min = v
+	}
+	if v > a.Max {
+		a.Max = v
+	}
 }
 
 // Avg returns the integer average (0 for empty groups).
@@ -111,7 +124,7 @@ func newAggTable(e *engine.Engine, vaultID, expectedGroups int) (*aggTable, erro
 	if err != nil {
 		return nil, err
 	}
-	return &aggTable{base: r.Addr, slots: uint64(slots), groups: make(map[tuple.Key]*Aggregates, expectedGroups)}, nil
+	return &aggTable{base: r.Addr, slots: uint64(slots), groups: tuple.NewKeyTable[Aggregates](expectedGroups)}, nil
 }
 
 // update folds one tuple into its group's running aggregates.
@@ -119,20 +132,10 @@ func (a *aggTable) update(u *engine.Unit, t tuple.Tuple) {
 	slot := (uint64(t.Key) * 0x9e3779b97f4a7c15) >> 1 % a.slots
 	addr := a.base + int64(slot)*48
 	u.ReadBytes(addr, 48)
-	g, ok := a.groups[t.Key]
-	if !ok {
-		g = &Aggregates{Min: ^uint64(0)}
-		a.groups[t.Key] = g
+	g, added := a.groups.Upsert(t.Key)
+	if added {
+		g.Min = ^uint64(0)
 	}
-	v := uint64(t.Val)
-	g.Count++
-	g.Sum += v
-	g.SumSq += v * v
-	if v < g.Min {
-		g.Min = v
-	}
-	if v > g.Max {
-		g.Max = v
-	}
+	g.fold(uint64(t.Val))
 	u.WriteBytes(addr, 48)
 }

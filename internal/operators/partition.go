@@ -317,13 +317,9 @@ func cpuPartition(e *engine.Engine, cfg Config, inputs []*engine.Region, part Pa
 
 	// Destination buckets spread round-robin over vaults.
 	capPer := int(float64(total/part.Buckets)*cfg.overprovision()) + bucketSlack
-	buckets := make([]*engine.Region, part.Buckets)
-	for b := range buckets {
-		r, err := e.AllocOut(b%nv, capPer)
-		if err != nil {
-			return nil, err
-		}
-		buckets[b] = r
+	buckets, err := e.AllocOutRoundRobin(part.Buckets, capPer)
+	if err != nil {
+		return nil, err
 	}
 	res := &PartitionResult{Buckets: buckets}
 
@@ -373,13 +369,13 @@ func cpuPartition(e *engine.Engine, cfg Config, inputs []*engine.Region, part Pa
 
 	// Per-(core,bucket) write offsets, computed in place over the
 	// histogram (offset[c][b] is the prefix sum of hist[c'][b] over c' <
-	// c), and each bucket's exact final size.
+	// c), and each bucket's exact final size. The pass runs core by core,
+	// along each histogram row.
 	offset := hist
 	counts := make([]int64, part.Buckets)
-	for b := range counts {
-		for c := 0; c < nCores; c++ {
-			n := hist[c][b]
-			offset[c][b] = counts[b]
+	for _, row := range hist {
+		for b, n := range row {
+			row[b] = counts[b]
 			counts[b] += n
 		}
 	}

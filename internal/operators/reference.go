@@ -33,32 +33,28 @@ func RefSort(in []tuple.Tuple) []tuple.Tuple {
 
 // RefGroupBy computes the six aggregates per group.
 func RefGroupBy(in []tuple.Tuple) map[tuple.Key]*Aggregates {
-	return RefGroupBySeq(tuple.SeqOf(in))
+	groups := RefGroupBySeq(tuple.SeqOf(in))
+	out := make(map[tuple.Key]*Aggregates, groups.Len())
+	for i := 0; i < groups.Len(); i++ {
+		k, a := groups.At(i)
+		out[k] = a
+	}
+	return out
 }
 
 // RefGroupBySeq is RefGroupBy over a tuple stream, so a composed
-// reference (a join's matches) feeds the group map without being built as
-// a slice.
+// reference (a join's matches) feeds the group table without being built
+// as a slice. The groups sit in a flat key table, in first-seen order.
 //
 //go:noinline
-func RefGroupBySeq(in tuple.Seq) map[tuple.Key]*Aggregates {
-	groups := make(map[tuple.Key]*Aggregates)
+func RefGroupBySeq(in tuple.Seq) *tuple.KeyTable[Aggregates] {
+	groups := tuple.NewKeyTable[Aggregates](0)
 	in(func(t tuple.Tuple) {
-		g, ok := groups[t.Key]
-		if !ok {
-			g = &Aggregates{Min: ^uint64(0)}
-			groups[t.Key] = g
+		g, added := groups.Upsert(t.Key)
+		if added {
+			g.Min = ^uint64(0)
 		}
-		v := uint64(t.Val)
-		g.Count++
-		g.Sum += v
-		g.SumSq += v * v
-		if v < g.Min {
-			g.Min = v
-		}
-		if v > g.Max {
-			g.Max = v
-		}
+		g.fold(uint64(t.Val))
 	})
 	return groups
 }
@@ -66,19 +62,20 @@ func RefGroupBySeq(in tuple.Seq) map[tuple.Key]*Aggregates {
 // RefGroupByTuples renders RefGroupBy in the operator's output encoding
 // (six tuples per group in AggKind order) for multiset comparison.
 func RefGroupByTuples(in []tuple.Tuple) []tuple.Tuple {
-	groups := RefGroupBy(in)
-	out := make([]tuple.Tuple, 0, len(groups)*int(numAggs))
+	groups := RefGroupBySeq(tuple.SeqOf(in))
+	out := make([]tuple.Tuple, 0, groups.Len()*int(numAggs))
 	RefAggSeq(groups)(func(t tuple.Tuple) { out = append(out, t) })
 	return out
 }
 
 // RefAggSeq streams groups in the operator's output encoding (six tuples
-// per group in AggKind order), in map order.
+// per group in AggKind order), in the table's insertion order.
 //
 //go:noinline
-func RefAggSeq(groups map[tuple.Key]*Aggregates) tuple.Seq {
+func RefAggSeq(groups *tuple.KeyTable[Aggregates]) tuple.Seq {
 	return func(yield func(tuple.Tuple)) {
-		for k, a := range groups {
+		for i := 0; i < groups.Len(); i++ {
+			k, a := groups.At(i)
 			vals := [numAggs]uint64{a.Count, a.Sum, a.Min, a.Max, a.Avg(), a.SumSq}
 			for _, v := range vals {
 				yield(tuple.Tuple{Key: k, Val: tuple.Value(v)})
@@ -87,8 +84,8 @@ func RefAggSeq(groups map[tuple.Key]*Aggregates) tuple.Seq {
 	}
 }
 
-// RefJoin computes R ⋈ S with a nested-loop join (via a map for speed),
-// producing the operator's output encoding.
+// RefJoin computes R ⋈ S with a nested-loop join (via a hash table for
+// speed), producing the operator's output encoding.
 func RefJoin(r, s []tuple.Tuple) []tuple.Tuple {
 	var out []tuple.Tuple
 	RefJoinSeq(r, tuple.SeqOf(s))(func(t tuple.Tuple) { out = append(out, t) })
@@ -97,18 +94,20 @@ func RefJoin(r, s []tuple.Tuple) []tuple.Tuple {
 
 // RefJoinSeq streams RefJoin's output for a probe stream s, in the same
 // order, without building it: one join's matches can feed the next join
-// or the group map directly.
+// or the group table directly. Of R tuples sharing a key, the last one
+// joins.
 //
 //go:noinline
 func RefJoinSeq(r []tuple.Tuple, s tuple.Seq) tuple.Seq {
 	return func(yield func(tuple.Tuple)) {
-		rByKey := make(map[tuple.Key]tuple.Tuple, len(r))
+		rByKey := tuple.NewKeyTable[tuple.Value](len(r))
 		for _, t := range r {
-			rByKey[t.Key] = t
+			v, _ := rByKey.Upsert(t.Key)
+			*v = t.Val
 		}
 		s(func(st tuple.Tuple) {
-			if rt, ok := rByKey[st.Key]; ok {
-				yield(combine(rt, st))
+			if rv := rByKey.Find(st.Key); rv != nil {
+				yield(combine(tuple.Tuple{Key: st.Key, Val: *rv}, st))
 			}
 		})
 	}

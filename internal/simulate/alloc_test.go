@@ -13,30 +13,32 @@ import (
 // Go 1.24): per system, the four operators in Operators() order, then the
 // five plans in Plans() order. They were recorded once host tuple buffers
 // were sized from the exchanged histograms and outputs were verified by
-// streaming digests, which halved both, and lowered where they fell once
-// placement stopped building a relation per vault chunk and the
-// exchange's arrival order became an index permutation. Each value is the
-// largest of ten measurements, each in its own process: Go's randomized
-// map hash seeds move the counts by up to 0.4% and the bytes by up to
-// 1.4% (the map-heavy aggregation plans) from process to process.
+// streaming digests, and lowered where they fell since: once placement
+// stopped building a relation per vault chunk, once the exchange's
+// arrival order became an index permutation, and once the Group-by
+// tables and the references moved from Go maps to flat key tables. With
+// no Go map left on these paths, ten processes measure the same counts,
+// so the counts are pinned exactly. The bytes are the largest of those
+// ten measurements (they differ by at most 9 B), or the earlier pin where
+// that was lower: CPU Sort and filter-sort run 0.5% and 1.0% above theirs.
 var parentAllocs = map[System][9]float64{
-	CPU:            {54, 380, 4496, 807, 455, 4956, 8407, 8835, 5630},
-	NMP:            {79, 311, 4358, 539, 255, 4505, 7806, 8102, 4582},
-	NMPPerm:        {79, 302, 4349, 521, 246, 4496, 7784, 8073, 4555},
-	NMPRand:        {79, 311, 4358, 539, 255, 4505, 7802, 8101, 4583},
-	NMPSeq:         {79, 311, 2402, 745, 255, 2549, 4522, 4817, 3244},
-	MondrianNoPerm: {87, 271, 2369, 686, 279, 2460, 4415, 4655, 3078},
-	Mondrian:       {87, 262, 2361, 668, 270, 2451, 4397, 4629, 3051},
+	CPU:            {45, 112, 186, 282, 183, 380, 525, 687, 797},
+	NMP:            {66, 263, 316, 512, 231, 431, 710, 959, 1045},
+	NMPPerm:        {66, 254, 307, 494, 222, 422, 692, 932, 1018},
+	NMPRand:        {66, 263, 316, 512, 231, 431, 710, 959, 1045},
+	NMPSeq:         {66, 263, 333, 666, 231, 448, 858, 1107, 1307},
+	MondrianNoPerm: {74, 239, 317, 635, 255, 391, 796, 1010, 1208},
+	Mondrian:       {74, 230, 308, 617, 246, 382, 778, 983, 1181},
 }
 
 var parentBytes = map[System][9]float64{
-	CPU:            {277110, 592947, 1286720, 1603662, 318083, 1956334, 3509785, 4641003, 3052990},
-	NMP:            {278073, 862803, 1569580, 1869001, 290571, 1717862, 3151112, 4647942, 2821859},
-	NMPPerm:        {278051, 862116, 1568889, 1867596, 289900, 1717179, 3141475, 4638019, 2819747},
-	NMPRand:        {278080, 862806, 1569588, 1869019, 290579, 1717841, 3142910, 4640544, 2829251},
-	NMPSeq:         {278051, 862806, 1308385, 1949516, 290604, 1456052, 2872180, 4371273, 2774771},
-	MondrianNoPerm: {278187, 860382, 1306062, 1942900, 290996, 1448380, 2865267, 4363265, 2766779},
-	Mondrian:       {278220, 859643, 1305385, 1941484, 290259, 1447707, 2856473, 4361571, 2764628},
+	CPU:            {274880, 592947, 998289, 1493283, 318083, 1673480, 3099968, 4243792, 2725512},
+	NMP:            {275576, 858584, 1267288, 1746152, 287528, 1405840, 2707875, 4201712, 2477920},
+	NMPPerm:        {275576, 857880, 1266584, 1744744, 286833, 1405136, 2706467, 4199600, 2475808},
+	NMPRand:        {275576, 858584, 1267297, 1746152, 287528, 1405840, 2707872, 4201712, 2477920},
+	NMPSeq:         {275576, 858584, 1190712, 1824168, 287528, 1336816, 2605312, 4101840, 2515680},
+	MondrianNoPerm: {275704, 856920, 1189176, 1818888, 287912, 1330672, 2600928, 4089936, 2503552},
+	Mondrian:       {275704, 856216, 1188472, 1817480, 287208, 1329968, 2599520, 4087824, 2501440},
 }
 
 // allocsPerRun is testing.AllocsPerRun that also reports the bytes
@@ -81,8 +83,7 @@ func forEachCell(t *testing.T, p Params, f func(s System, i int, name string, ru
 // TestRunAllocationBound keeps the experiment harness from adding heap
 // allocations per run: a pooled Run of every System × Operator and a
 // pooled RunPlan of every System × Plan allocate no more often than the
-// recorded parentAllocs, plus 2 allocations and 0.1% for the map-seed
-// noise, and no more bytes than parentBytes plus 2%.
+// recorded parentAllocs, and no more bytes than parentBytes plus 2%.
 // Allocation does not depend on the host CPU, so the bound holds on any
 // runner; the race detector's instrumentation does move it, so -race
 // builds skip the test.
@@ -95,8 +96,8 @@ func TestRunAllocationBound(t *testing.T) {
 	forEachCell(t, p, func(s System, i int, name string, run func()) {
 		run() // fill the pool
 		allocs, bytes := allocsPerRun(5, run)
-		if want := parentAllocs[s][i]; allocs > want+2+want/1000 {
-			t.Errorf("%s: %.0f allocations per pooled run, want at most %.0f (recorded %.0f)", name, allocs, want+2+want/1000, want)
+		if want := parentAllocs[s][i]; allocs > want {
+			t.Errorf("%s: %.0f allocations per pooled run, want at most %.0f", name, allocs, want)
 		}
 		if want := parentBytes[s][i]; bytes > want*1.02 {
 			t.Errorf("%s: %.0f bytes allocated per pooled run, want at most %.0f (recorded %.0f)", name, bytes, want*1.02, want)
@@ -147,15 +148,14 @@ func liveHeap() uint64 {
 }
 
 // TestRunAllocationsIndependentOfCollections: a pooled Run of every
-// System × Operator allocates as often right after a garbage collection
-// as with collection switched off. Anything a run draws from a cache that
+// System × Operator and a pooled RunPlan of every System × Plan allocate
+// as often right after a garbage collection as with collection switched
+// off. Anything a run draws from a cache that
 // collections empty (fmt's printer cache, behind every Sprintf) breaks
 // this, and with it the bound above, which then passes or fails by when
 // collections fall. Each side is the least of three runs, which sets
 // aside the odd run that allocates once more whether or not a collection
-// came before it. The plans are left out: their host-side hash maps grow
-// by Go's per-map random seed, so their counts vary from run to run
-// whatever the collector does.
+// came before it.
 func TestRunAllocationsIndependentOfCollections(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -180,19 +180,12 @@ func TestRunAllocationsIndependentOfCollections(t *testing.T) {
 		}
 		return least
 	}
-	for _, s := range Systems() {
-		for _, op := range Operators() {
-			run := func() {
-				if _, err := Run(s, op, p); err != nil {
-					t.Fatalf("%v/%v: %v", s, op, err)
-				}
-			}
-			run() // fill the pool
-			run()
-			quiet := mallocs(run, false)
-			if collected := mallocs(run, true); collected != quiet {
-				t.Errorf("%v/%v: %d allocations right after a collection, %d with none", s, op, collected, quiet)
-			}
+	forEachCell(t, p, func(_ System, _ int, name string, run func()) {
+		run() // fill the pool
+		run()
+		quiet := mallocs(run, false)
+		if collected := mallocs(run, true); collected != quiet {
+			t.Errorf("%s: %d allocations right after a collection, %d with none", name, collected, quiet)
 		}
-	}
+	})
 }
